@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <unordered_set>
 
@@ -110,7 +112,9 @@ uint32_t CandidateStore::allocGroup() {
   G.AvgStack = 0;
   G.NumParentsBase = 0;
   G.Members = 0;
+  G.Varying = 0;
   G.RunPinned = false;
+  G.Dirty = true;
   ++LiveGroups;
   return Id;
 }
@@ -125,9 +129,10 @@ void CandidateStore::maybeFreeGroup(uint32_t GroupId) {
   // of branches, so reuse skips the realloc) but release outliers: early
   // runs discover dozens of branches at once, and without the cap every
   // slot ratchets up to the largest list it ever held.
-  if (G.Branches.capacity() > 16)
+  if (G.Branches.capacity() > 16) {
+    ListBytes -= G.Branches.capacity() * sizeof(uint32_t);
     std::vector<uint32_t>().swap(G.Branches);
-  else
+  } else
     G.Branches.clear();
   FreeGroups.push_back(GroupId);
   --LiveGroups;
@@ -228,10 +233,13 @@ uint32_t CandidateStore::makeRun(const std::vector<uint32_t> &NewBranches,
                                  uint64_t PathHash, uint32_t NumParentsBase) {
   uint32_t Id = allocGroup();
   Group &G = Groups[Id];
-  if (Reference)
+  if (Reference) {
     RefShared[Id] = std::make_shared<const std::vector<uint32_t>>(NewBranches);
-  else
+  } else {
+    ListBytes -= G.Branches.capacity() * sizeof(uint32_t);
     G.Branches = NewBranches;
+    ListBytes += G.Branches.capacity() * sizeof(uint32_t);
+  }
   G.FilterEpoch = FilterEpoch;
   G.PathHash = PathHash;
   G.AvgStack = AvgStack;
@@ -295,6 +303,7 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
     R.SuffixLen = static_cast<uint32_t>(Suffix.size());
     R.Group = Run;
     ++G.Members;
+    G.Dirty = true; // Score is a push-time score, not the formula
     R.Refs = 1; // the queue entry's pin; pop transfers it to the caller
     // Replacements are comparison operands (single chars or string-equality
     // literals); 64 KiB headroom is far beyond any grammar token, and the
@@ -307,7 +316,7 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
     if (Entries.size() == Entries.capacity())
       Entries.reserve(std::min(MaxQueue + 1, Entries.capacity() +
                                                  Entries.capacity() / 4 + 64));
-    Entries.push_back(Entry{Score, Id});
+    Entries.push_back(Entry{Score, Id, Run});
     std::push_heap(Entries.begin(), Entries.end(), EntryScoreLess());
   }
   if ((++PushTick & 1023) == 0)
@@ -436,6 +445,92 @@ double CandidateStore::scoreRecord(const Record &R, const Group &G,
   return heuristicScore(F, Heur);
 }
 
+namespace {
+
+/// GroupDelta marker: recompute the group's members in full.
+constexpr int16_t FullRescore = INT16_MIN;
+
+/// True when \p V is a multiple of one half small enough that every sum
+/// of it with uint32 terms is exact in a double.
+bool isHalfInteger(double V) {
+  double Twice = V * 2;
+  return std::fabs(Twice) < 0x1p40 && Twice == std::floor(Twice);
+}
+
+bool sameTerms(const HeuristicOptions &A, const HeuristicOptions &B) {
+  return A.LengthPenalty == B.LengthPenalty &&
+         A.ReplacementBonus == B.ReplacementBonus &&
+         A.StackSizeTerm == B.StackSizeTerm &&
+         A.ParentCountTerm == B.ParentCountTerm &&
+         A.PathNovelty == B.PathNovelty;
+}
+
+} // namespace
+
+void CandidateStore::rescoreCompact(const BranchCoverageMap &VBr,
+                                    const PathCountMap &PathCounts,
+                                    const HeuristicOptions &Heur) {
+  // Delta rescoring. A score is a per-group part that a rescore can move
+  // (the filtered branch count and the path-novelty penalty, Varying)
+  // plus terms fixed at push. Pass 1 visits each live group once: it
+  // filters the list in place (the group's filter epoch is the memo, as
+  // before; see the header for why in-place filtering equals
+  // copy-on-rescore), looks up its path count once, and records how much
+  // Varying moved. Pass 2 walks the heap array sequentially adding that
+  // change to every entry. All score terms are integers or half-integers
+  // far below 2^53, so old + change is exactly the full recompute.
+  // Members of dirty groups hold push-time scores, not the formula, and
+  // are recomputed in full, as is everything after a switch change.
+  uint64_t Now = VBr.epoch();
+  bool SameTerms = sameTerms(Heur, LastHeur);
+  LastHeur = Heur;
+  if (GroupDelta.size() < Groups.size()) {
+    GroupDelta.reserve(Groups.capacity()); // the slab's 1.25x, not 2x
+    GroupDelta.resize(Groups.size());
+  }
+  for (size_t Id = 0, N = Groups.size(); Id != N; ++Id) {
+    Group &G = Groups[Id];
+    if (G.Members == 0)
+      continue; // free, or a run handle with nothing queued
+    if (G.FilterEpoch != Now) {
+      if (!G.Branches.empty()) {
+        size_t Kept = 0;
+        for (uint32_t B : G.Branches)
+          if (!VBr.test(B))
+            G.Branches[Kept++] = B;
+        G.Branches.resize(Kept);
+        ++Stats.GroupsFiltered;
+      }
+      G.FilterEpoch = Now;
+    }
+    int64_t Varying = static_cast<int64_t>(G.Branches.size());
+    if (Heur.PathNovelty) {
+      auto It = PathCounts.find(G.PathHash);
+      if (It != PathCounts.end())
+        Varying -= std::min<uint32_t>(It->second, 24);
+    }
+    int64_t Change = Varying - G.Varying;
+    GroupDelta[Id] = G.Dirty || !SameTerms || !isHalfInteger(G.AvgStack) ||
+                             Change <= FullRescore || Change > INT16_MAX
+                         ? FullRescore
+                         : static_cast<int16_t>(Change);
+    G.Varying = static_cast<int32_t>(Varying);
+    G.Dirty = false;
+  }
+  for (Entry &E : Entries) {
+    assert(E.Group == Records[E.Id].Group && "entry lost its group");
+    int16_t Change = GroupDelta[E.Group];
+    if (Change == FullRescore) {
+      E.Score = scoreRecord(Records[E.Id], Groups[E.Group], PathCounts, Heur);
+      continue;
+    }
+    E.Score += Change;
+    assert(E.Score ==
+               scoreRecord(Records[E.Id], Groups[E.Group], PathCounts, Heur) &&
+           "delta rescore diverged from the full recompute");
+  }
+}
+
 bool CandidateStore::rescore(const BranchCoverageMap &VBr,
                              const PathCountMap &PathCounts,
                              const HeuristicOptions &Heur) {
@@ -493,27 +588,7 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
     }
     std::make_heap(RefQueue.begin(), RefQueue.end(), EntryScoreLess());
   } else {
-    // Group-sliced pass: each distinct branch list is filtered exactly
-    // once per rescore — the group's filter epoch is the memo, replacing
-    // the per-pass pointer-keyed map. Filtering is in place; see the
-    // header for why that is observationally identical to
-    // copy-on-rescore.
-    for (Entry &E : Entries) {
-      Record &R = Records[E.Id];
-      Group &G = Groups[R.Group];
-      if (G.FilterEpoch != Now) {
-        if (!G.Branches.empty()) {
-          size_t Kept = 0;
-          for (uint32_t B : G.Branches)
-            if (!VBr.test(B))
-              G.Branches[Kept++] = B;
-          G.Branches.resize(Kept);
-          ++Stats.GroupsFiltered;
-        }
-        G.FilterEpoch = Now;
-      }
-      E.Score = scoreRecord(R, G, PathCounts, Heur);
-    }
+    rescoreCompact(VBr, PathCounts, Heur);
     if (Entries.size() > MaxQueue) {
       TELEMETRY_SPAN("trim");
       // Same positional nth_element + resize as the by-value queue; it
@@ -586,13 +661,20 @@ size_t CandidateStore::bytesInUse() const {
     }
     return Bytes;
   }
-  size_t Bytes = Records.capacity() * sizeof(Record) +
-                 Entries.capacity() * sizeof(Entry) + Arena.capacity() +
-                 Groups.capacity() * sizeof(Group) +
-                 FreeGroups.capacity() * sizeof(uint32_t);
+  return Records.capacity() * sizeof(Record) +
+         Entries.capacity() * sizeof(Entry) + Arena.capacity() +
+         Groups.capacity() * sizeof(Group) +
+         FreeGroups.capacity() * sizeof(uint32_t) +
+         GroupDelta.capacity() * sizeof(int16_t) + ListBytes;
+}
+
+size_t CandidateStore::recountBytesInUse() const {
+  if (Reference)
+    return bytesInUse();
+  size_t Lists = 0;
   for (const Group &G : Groups)
-    Bytes += G.Branches.capacity() * sizeof(uint32_t);
-  return Bytes;
+    Lists += G.Branches.capacity() * sizeof(uint32_t);
+  return bytesInUse() - ListBytes + Lists;
 }
 
 void CandidateStore::samplePeaks() {

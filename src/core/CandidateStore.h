@@ -17,10 +17,14 @@
 ///
 /// Records that share one parent run's new-branch list are chained into a
 /// *group* holding the list plus the run-constant heuristic terms
-/// (average stack depth, path hash, parent-chain base). A rescore then
-/// filters each distinct list exactly once — the group's filter epoch is
-/// the memo — instead of hashing shared_ptr addresses into a per-pass
-/// map the way the original implementation did.
+/// (average stack depth, path hash, parent-chain base). A rescore is
+/// *delta* rescoring: one pass over live groups filters each distinct
+/// list exactly once (the group's filter epoch is the memo), looks up its
+/// path count once and records how much the group's movable score terms
+/// changed; one sequential pass over the heap entries then adds that
+/// change to each score. Members of groups pushed to since the last
+/// rescore are recomputed in full instead — their push-time scores are
+/// not the formula.
 ///
 /// Determinism contract: the heap uses the exact positional
 /// std::push_heap / std::pop_heap / std::make_heap / std::nth_element
@@ -30,11 +34,18 @@
 /// Scores are identical because (a) push-time scores are computed by the
 /// campaign from the run's captured (unfiltered) branch count, exactly
 /// as the string-backed queue scores pushes after a mid-iteration
-/// rescore, and (b) in-place group filtering is observationally
+/// rescore, (b) in-place group filtering is observationally
 /// equivalent to copy-on-rescore: vBr only grows, so
 /// filter(filter(L, vBr1), vBr2) == filter(L, vBr2) whenever vBr1 is a
 /// subset of vBr2 — a list filtered early yields the same count at every
-/// later rescore as the original list filtered late. See DESIGN.md §14.
+/// later rescore as the original list filtered late, and (c) delta
+/// rescoring is exact: every score term is an integer or a half-integer
+/// (the average stack is the mean of two integer depths) far below 2^53,
+/// so no operation rounds and old + (new part - old part) equals the
+/// full recompute bit for bit (asserted per entry in !NDEBUG builds).
+/// The pass still ends in the full positional make_heap: libstdc++'s
+/// sift-down permutes tied scores even on a valid heap, so any cheaper
+/// repair would change pop order. See DESIGN.md §14.
 ///
 /// Constructed with Reference = true the store instead keeps a faithful
 /// by-value candidate heap (owned std::string + shared_ptr branch list +
@@ -203,8 +214,9 @@ public:
   bool empty() const { return queueSize() == 0; }
 
   /// Re-filters every queued candidate's new-branch list against \p VBr
-  /// and recomputes all scores (Algorithm 1 lines 40-43); enforces the
-  /// queue cap by dropping the worst-scored half when exceeded. Returns
+  /// and brings every score up to date (Algorithm 1 lines 40-43) by delta
+  /// rescoring (see the file comment); enforces the queue cap by dropping
+  /// the worst-scored half when exceeded. Returns
   /// true when a trim happened (the campaign resets its requeue counters
   /// on trim, as before).
   bool rescore(const BranchCoverageMap &VBr, const PathCountMap &PathCounts,
@@ -244,10 +256,15 @@ public:
   // Accounting
   //===--------------------------------------------------------------------===//
 
-  /// Exact current queue memory: records, suffix arena, heap entries and
-  /// group lists in compact mode; candidate structs, string heap
+  /// Exact current queue memory: records, suffix arena, heap entries,
+  /// group lists and rescore scratch in compact mode (O(1): list
+  /// capacities are a running total); candidate structs, string heap
   /// allocations and distinct shared branch lists in reference mode.
   size_t bytesInUse() const;
+
+  /// bytesInUse() recounted by walking every group slot's list — the
+  /// reference the running total is tested against.
+  size_t recountBytesInUse() const;
 
   /// Folds the current footprint into the Peak* stats. Called
   /// internally at every rescore and every 1024th push; the campaign
@@ -291,11 +308,16 @@ private:
                 "DESIGN.md section 14 assumes 40-byte records");
 
   /// One heap element; the comparator reads Score only, so heap
-  /// permutations match the by-value queue's exactly.
+  /// permutations match the by-value queue's exactly. Group mirrors the
+  /// record's group (fixed from push to pop) in what was padding, so the
+  /// delta pass of rescore never touches the record slab.
   struct Entry {
     double Score = 0;
     uint32_t Id = 0;
+    uint32_t Group = 0;
   };
+
+  static_assert(sizeof(Entry) == 16, "Entry outgrew its 16 bytes");
 
   /// Run-constant data shared by all candidates of one executed run.
   /// Reference mode's shared_ptr list lives in the parallel RefShared
@@ -312,8 +334,22 @@ private:
     double AvgStack = 0;
     uint32_t NumParentsBase = 0;
     uint32_t Members = 0;
+    /// The score terms a rescore can move, as of the last rescore:
+    /// Branches.size() minus the capped path-novelty penalty. Every
+    /// member's stored score is its full formula value at that rescore
+    /// unless Dirty, so the next rescore adds the change of this value
+    /// instead of recomputing (see rescore).
+    int32_t Varying = 0;
     bool RunPinned = false;
+    /// Pushed to since the last rescore: members carry push-time scores
+    /// (requeue penalties, unfiltered counts), not the formula, so the
+    /// next rescore recomputes them in full.
+    bool Dirty = true;
   };
+
+  static_assert(sizeof(Group) == 64,
+                "Group outgrew its 64 bytes; Varying and Dirty must stay "
+                "in what was padding (DESIGN.md section 14)");
 
   /// A reference-mode candidate — the pre-store by-value layout,
   /// preserved field for field so its memory footprint is the honest
@@ -340,6 +376,9 @@ private:
   double scoreRecord(const Record &R, const Group &G,
                      const PathCountMap &PathCounts,
                      const HeuristicOptions &Heur) const;
+  void rescoreCompact(const BranchCoverageMap &VBr,
+                      const PathCountMap &PathCounts,
+                      const HeuristicOptions &Heur);
   void maybeCompactArena();
 
   const bool Reference;
@@ -358,6 +397,17 @@ private:
   size_t ArenaGarbage = 0;
   size_t LiveGroups = 0;
   uint64_t PushTick = 0;
+  /// Running total of every group slot's branch-list capacity in bytes,
+  /// kept wherever a list is assigned or released so bytesInUse() needs
+  /// no walk over the group slab.
+  size_t ListBytes = 0;
+  /// Rescore scratch indexed by group id: the change of the group's
+  /// Varying terms, or FullRescore. Kept across rescores (counted in
+  /// bytesInUse).
+  std::vector<int16_t> GroupDelta;
+  /// The heuristic switches of the previous rescore; stored scores
+  /// follow them, so a rescore under different switches recomputes all.
+  HeuristicOptions LastHeur;
 
   // Reference mode state.
   std::vector<RefCandidate> RefQueue;

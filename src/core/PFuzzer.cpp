@@ -1410,7 +1410,10 @@ void Campaign::requeuePrefix(const std::string &Input, uint64_t Hash,
   ++Count;
   // Deliberately bypasses the Enqueued dedup: the same prefix re-enters
   // once per execution so a fresh random extension gets its chance; each
-  // round costs it an extra score point so retries drain gradually.
+  // round costs it an extra score point so retries drain gradually. The
+  // penalty only lasts until the next rescore: the store recomputes the
+  // entry from the formula, which does not know Count, so this stored
+  // score sits *below* the fresh one (not an upper bound of it).
   double Score = scoreCandidate(Stats.NewBranchCount, Input.size(), 1,
                                 Stats.AvgStack, ParentCount, Stats.PathHash) -
                  Count;

@@ -11,17 +11,22 @@
 /// same campaign run on the string-backed reference queue — on every
 /// evaluation subject, crossed with speculation, locality batching, run
 /// cache and queue-trim pressure. Plus direct store unit tests
-/// (materialization chains, trim + arena compaction) and the PathCounts
-/// decay regression.
+/// (materialization chains, trim + arena compaction, delta rescoring
+/// against the reference at every heap position, the running byte
+/// total) and the PathCounts decay regression.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/CandidateStore.h"
 #include "core/PFuzzer.h"
 #include "subjects/Subject.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -36,7 +41,15 @@ struct QueueConfig {
   uint32_t Locality = 0;
   uint32_t ResumeCache = 0;
   size_t MaxQueue = 100000;
+  HeuristicOptions Heur = {};
 };
+
+/// The default switches with the one term \p Off disabled.
+HeuristicOptions without(bool HeuristicOptions::*Off) {
+  HeuristicOptions H;
+  H.*Off = false;
+  return H;
+}
 
 FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
                      const QueueConfig &C, bool Reference,
@@ -52,6 +65,7 @@ FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
   Options.MaxQueue = C.MaxQueue;
   Options.ReferenceQueue = Reference;
   Options.QueueStatsOut = Stats;
+  Options.Heur = C.Heur;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
@@ -71,7 +85,10 @@ void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
 TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
   // The identity sweep: compact records against the by-value reference
   // queue, on all five evaluation subjects, crossed with every execution
-  // optimization and with queue caps small enough to force trims.
+  // optimization and with queue caps small enough to force trims. The
+  // compact store rescores by deltas, so the sweep also covers a cap
+  // small enough to decay the path table (the one event that raises a
+  // group's score part) and every heuristic term switched off in turn.
   const QueueConfig Configs[] = {
       {"default"},
       {"nocache-trim", /*RunCache=*/0, 0, 0, 0, /*MaxQueue=*/256},
@@ -79,6 +96,16 @@ TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
       {"locality-resume", 64, 0, /*Locality=*/64, /*ResumeCache=*/64},
       {"all-trim", 64, /*Speculation=*/2, /*Locality=*/64, /*ResumeCache=*/64,
        /*MaxQueue=*/512},
+      {"path-decay", 64, 0, 0, 0, /*MaxQueue=*/32},
+      {"no-length", 64, 0, 0, 0, 100000,
+       without(&HeuristicOptions::LengthPenalty)},
+      {"no-replacement", 64, 0, 0, 0, 100000,
+       without(&HeuristicOptions::ReplacementBonus)},
+      {"no-stack", 64, 0, 0, 0, 100000,
+       without(&HeuristicOptions::StackSizeTerm)},
+      {"no-parents", 64, 0, 0, 0, 100000,
+       without(&HeuristicOptions::ParentCountTerm)},
+      {"no-path", 64, 0, 0, 0, 100000, without(&HeuristicOptions::PathNovelty)},
   };
   for (const Subject *S : evaluationSubjects()) {
     uint64_t Execs = S == &jsonSubject() ? 3000 : 1500;
@@ -205,4 +232,204 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
   Store.pop(Out);
   EXPECT_EQ(Out, std::string(600, 'a' + 10));
   EXPECT_TRUE(Store.empty());
+}
+
+namespace {
+
+/// One random sequence of store operations — runs opened and released,
+/// pushes carrying push-time scores (unfiltered counts, requeue-style
+/// penalties), pops, coverage growth, path-count increases and decays,
+/// and rescores with trims at a small cap — applied identically to every
+/// store in \p Stores. \p AfterOp runs after each operation; \p OnRescore
+/// after each rescore of all stores.
+struct StoreScript {
+  std::vector<CandidateStore *> Stores;
+  HeuristicOptions Heur;
+  size_t MaxQueue = 48;
+  std::function<void()> AfterOp = [] {};
+  std::function<void()> OnRescore = [] {};
+
+  struct OpenRun {
+    std::vector<uint32_t> Ids; // one group per store
+    uint32_t BranchCount = 0;
+    double AvgStack = 0;
+    uint64_t PathHash = 0;
+    uint32_t NumParentsBase = 0;
+  };
+
+  BranchCoverageMap VBr;
+  PathCountMap PathCounts;
+  std::vector<OpenRun> Runs;
+
+  void run(uint64_t Seed, size_t Steps) {
+    Rng R(Seed);
+    for (size_t Step = 0; Step != Steps; ++Step) {
+      uint64_t Op = R.below(100);
+      if (Op < 8 || Runs.empty())
+        openRun(R);
+      else if (Op < 12)
+        releaseRun(R.below(Runs.size()));
+      else if (Op < 62)
+        push(R);
+      else if (Op < 76)
+        pop();
+      else if (Op < 84)
+        VBr.set(static_cast<uint32_t>(R.below(300)));
+      else if (Op < 91)
+        PathCounts[R.below(12)] += static_cast<uint32_t>(1 + R.below(6));
+      else if (Op < 93)
+        decayPaths();
+      else
+        rescore();
+    }
+    while (!Runs.empty())
+      releaseRun(Runs.size() - 1);
+  }
+
+  void openRun(Rng &R) {
+    std::vector<uint32_t> Branches;
+    // Mostly short lists, sometimes an early-campaign burst past the
+    // store's 16-entry recycling cap.
+    size_t Len = R.chance(1, 8) ? 20 + R.below(40) : R.below(12);
+    for (size_t I = 0; I != Len; ++I) {
+      uint32_t B = static_cast<uint32_t>(R.below(300));
+      if (!VBr.test(B))
+        Branches.push_back(B);
+    }
+    OpenRun Run;
+    Run.BranchCount = static_cast<uint32_t>(Branches.size());
+    // Stack averages are half-integers in campaigns; a third exercises
+    // the store's full-recompute fallback.
+    Run.AvgStack = R.chance(1, 10) ? R.below(40) / 3.0 : R.below(40) / 2.0;
+    Run.PathHash = R.below(12);
+    Run.NumParentsBase = static_cast<uint32_t>(R.below(6));
+    for (CandidateStore *S : Stores)
+      Run.Ids.push_back(S->makeRun(Branches, VBr.epoch(), Run.AvgStack,
+                                   Run.PathHash, Run.NumParentsBase));
+    Runs.push_back(Run);
+    AfterOp();
+  }
+
+  void releaseRun(size_t Index) {
+    for (size_t I = 0; I != Stores.size(); ++I)
+      Stores[I]->releaseRun(Runs[Index].Ids[I]);
+    Runs.erase(Runs.begin() + static_cast<std::ptrdiff_t>(Index));
+    AfterOp();
+  }
+
+  void push(Rng &R) {
+    const OpenRun &Run = Runs[R.below(Runs.size())];
+    std::string Input(1 + R.below(24), 'a');
+    for (char &C : Input)
+      C = R.nextPrintable();
+    uint32_t ReplacementLen = static_cast<uint32_t>(1 + R.below(4));
+    uint32_t ParentDelta = static_cast<uint32_t>(R.below(2));
+    CandidateFeatures F;
+    F.NewBranches = Run.BranchCount; // unfiltered, as campaigns push
+    F.InputLen = static_cast<uint32_t>(Input.size());
+    F.ReplacementLen = ReplacementLen;
+    F.AvgStackSize = Run.AvgStack;
+    F.NumParents = Run.NumParentsBase + ParentDelta;
+    auto It = PathCounts.find(Run.PathHash);
+    F.PathCount = It == PathCounts.end() ? 0 : It->second;
+    double Score = heuristicScore(F, Heur) - static_cast<double>(R.below(4));
+    uint64_t Hash = R.next();
+    for (size_t I = 0; I != Stores.size(); ++I)
+      Stores[I]->push(Run.Ids[I], CandidateStore::None, Input, 0, Input, Hash,
+                      ReplacementLen, ParentDelta, Score);
+    AfterOp();
+    if (Stores[0]->queueSize() > MaxQueue)
+      rescore();
+  }
+
+  void pop() {
+    if (Stores[0]->empty())
+      return;
+    std::string First;
+    CandidateStore::Popped P0 = Stores[0]->pop(First);
+    Stores[0]->release(P0.Id);
+    for (size_t I = 1; I != Stores.size(); ++I) {
+      std::string Out;
+      CandidateStore::Popped P = Stores[I]->pop(Out);
+      Stores[I]->release(P.Id);
+      EXPECT_EQ(Out, First);
+      EXPECT_EQ(P.Score, P0.Score);
+      EXPECT_EQ(P.InputHash, P0.InputHash);
+      EXPECT_EQ(P.NumParents, P0.NumParents);
+    }
+    AfterOp();
+  }
+
+  void decayPaths() {
+    for (auto It = PathCounts.begin(); It != PathCounts.end();) {
+      It->second /= 2;
+      It = It->second == 0 ? PathCounts.erase(It) : std::next(It);
+    }
+  }
+
+  void rescore() {
+    for (CandidateStore *S : Stores)
+      S->rescore(VBr, PathCounts, Heur);
+    AfterOp();
+    OnRescore();
+  }
+};
+
+} // namespace
+
+TEST(PFuzzerQueueStoreTest, DeltaRescoreMatchesReferenceAtEveryHeapPosition) {
+  // The store-level exactness check behind the campaign sweep: the same
+  // operation sequence on a compact store (delta rescoring) and a
+  // reference store (full recompute of every candidate) must leave the
+  // same score at every heap position after every rescore — which, with
+  // the same positional heap calls, is the same pop order.
+  const HeuristicOptions Terms[] = {
+      HeuristicOptions(),
+      without(&HeuristicOptions::LengthPenalty),
+      without(&HeuristicOptions::ReplacementBonus),
+      without(&HeuristicOptions::StackSizeTerm),
+      without(&HeuristicOptions::ParentCountTerm),
+      without(&HeuristicOptions::PathNovelty),
+  };
+  for (size_t T = 0; T != std::size(Terms); ++T) {
+    SCOPED_TRACE("heuristic config " + std::to_string(T));
+    StoreScript Script;
+    CandidateStore Compact(/*Reference=*/false, Script.MaxQueue);
+    CandidateStore Reference(/*Reference=*/true, Script.MaxQueue);
+    Script.Stores = {&Compact, &Reference};
+    Script.Heur = Terms[T];
+    size_t Compared = 0;
+    Script.OnRescore = [&] {
+      ASSERT_EQ(Compact.queueSize(), Reference.queueSize());
+      for (size_t Pos = 0; Pos != Compact.queueSize(); ++Pos) {
+        ASSERT_EQ(Compact.scoreAt(Pos), Reference.scoreAt(Pos))
+            << "heap position " << Pos;
+        ASSERT_EQ(Compact.hashAt(Pos), Reference.hashAt(Pos))
+            << "heap position " << Pos;
+      }
+      Compared += Compact.queueSize();
+    };
+    Script.run(/*Seed=*/100 + T, /*Steps=*/4000);
+    EXPECT_GT(Compact.Stats.Trims, 0u);
+    EXPECT_GT(Compared, 1000u);
+  }
+}
+
+TEST(PFuzzerQueueStoreTest, RunningByteTotalMatchesFullWalk) {
+  // bytesInUse() keeps group-list capacities as a running total; after
+  // every operation it must equal a walk over every group slot, and the
+  // sampled peak must be the walk's maximum.
+  StoreScript Script;
+  CandidateStore Store(/*Reference=*/false, Script.MaxQueue);
+  Script.Stores = {&Store};
+  size_t PeakWalk = 0;
+  Script.AfterOp = [&] {
+    size_t Walk = Store.recountBytesInUse();
+    ASSERT_EQ(Store.bytesInUse(), Walk);
+    PeakWalk = std::max(PeakWalk, Walk);
+    Store.samplePeaks();
+  };
+  Script.run(/*Seed=*/7, /*Steps=*/4000);
+  EXPECT_GT(Store.Stats.Trims, 0u);
+  EXPECT_EQ(Store.Stats.PeakBytes, PeakWalk);
 }
