@@ -114,6 +114,20 @@ static char *savedStackPointer(const ucontext_t &At, char *FrameHint) {
 #endif
 }
 
+#if defined(PFUZZ_ASAN)
+/// Copies live fiber stack bytes without ASan checks. The region spans
+/// the redzones of every frame on it, which an intercepted memcpy reports
+/// as a stack-buffer-underflow; the volatile accesses keep the compiler
+/// from lowering the loop back into that memcpy.
+__attribute__((no_sanitize("address"))) static void
+copyStackBytes(char *Dst, const char *Src, size_t Size) {
+  volatile char *D = Dst;
+  const volatile char *S = Src;
+  for (size_t I = 0; I != Size; ++I)
+    D[I] = S[I];
+}
+#endif
+
 void Fiber::captureStack(FiberCheckpoint &Out, char *FrameHint) {
   char *Sp = savedStackPointer(Out.At, FrameHint);
   if (Sp < StackBase)
@@ -121,20 +135,26 @@ void Fiber::captureStack(FiberCheckpoint &Out, char *FrameHint) {
   char *Top = StackBase + Size;
   assert(Sp <= Top && "capture point outside the fiber stack");
   Out.Offset = static_cast<size_t>(Sp - StackBase);
+#if defined(PFUZZ_ASAN)
+  Out.Stack.resize(static_cast<size_t>(Top - Sp));
+  copyStackBytes(Out.Stack.data(), Sp, Out.Stack.size());
+#else
   Out.Stack.assign(Sp, Top);
+#endif
 }
 
 void Fiber::resumeAt(const FiberCheckpoint &Cp) {
   assert(Cp.Captured && "resumeAt of an empty checkpoint");
   assert(ActiveFiber == nullptr && "resumeAt from on-fiber code");
   assert(Cp.Offset + Cp.Stack.size() == Size && "checkpoint from another fiber");
-  std::memcpy(StackBase + Cp.Offset, Cp.Stack.data(), Cp.Stack.size());
 #if defined(PFUZZ_ASAN)
   // The previous run's frames poisoned redzones that do not line up with
-  // the restored frames; clear the whole stack's shadow. Costs some
+  // the restored frames; clear the whole stack's shadow — before the
+  // copy, which would otherwise write into stale redzones. Costs some
   // overflow precision inside resumed frames, never correctness.
   __asan_unpoison_memory_region(StackBase, Size);
 #endif
+  std::memcpy(StackBase + Cp.Offset, Cp.Stack.data(), Cp.Stack.size());
   Finished = false;
   // setcontext reads the target without modifying it, so the pinned
   // checkpoint context is passed directly (a copy would break glibc's

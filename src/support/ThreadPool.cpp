@@ -91,9 +91,16 @@ bool CancellableTask::ran() const {
 CancellableTask ThreadPool::submitCancellable(std::function<void()> Task) {
   CancellableTask Handle;
   Handle.State = std::make_shared<CancellableTask::Shared>();
-  std::shared_ptr<CancellableTask::Shared> State = Handle.State;
+  // Weak: the handle's state owns this closure's future, so a strong
+  // capture would be a reference cycle leaking both.
+  std::weak_ptr<CancellableTask::Shared> WeakState = Handle.State;
   Handle.State->Future =
-      submit([State, Task = std::move(Task)] {
+      submit([WeakState, Task = std::move(Task)] {
+        std::shared_ptr<CancellableTask::Shared> State = WeakState.lock();
+        if (!State) {
+          Task(); // every handle is gone, so nothing can cancel it
+          return;
+        }
         // Claim the task; a concurrent cancel() that won the race turns
         // this queue slot into a no-op.
         int Expected = CancellableTask::Pending;

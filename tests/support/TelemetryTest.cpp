@@ -99,7 +99,8 @@ TEST(TelemetryTest, HistogramBucketsByBitWidthWithExactSum) {
   // 2 and 3 -> bucket 2, 1000 -> bucket 10.
   for (uint64_t V : {0ull, 1ull, 2ull, 3ull, 1000ull})
     Reg.record(H, V);
-  const HistogramData *D = Reg.snapshot().histogram("test.hist");
+  RegistrySnapshot Snap = Reg.snapshot(); // D points into it
+  const HistogramData *D = Snap.histogram("test.hist");
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->Count, 5u);
   EXPECT_EQ(D->Sum, 1006u);
@@ -117,7 +118,8 @@ TEST(TelemetryTest, HistogramClampsOversizedValuesToLastBucket) {
   TelemetryRegistry Reg;
   MetricId H = Reg.histogram("test.clamp");
   Reg.record(H, UINT64_MAX);
-  const HistogramData *D = Reg.snapshot().histogram("test.clamp");
+  RegistrySnapshot Snap = Reg.snapshot(); // D points into it
+  const HistogramData *D = Snap.histogram("test.clamp");
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->Buckets[HistogramData::BucketCount - 1], 1u);
   EXPECT_EQ(D->Sum, UINT64_MAX);
