@@ -457,14 +457,6 @@ bool isHalfInteger(double V) {
   return std::fabs(Twice) < 0x1p40 && Twice == std::floor(Twice);
 }
 
-bool sameTerms(const HeuristicOptions &A, const HeuristicOptions &B) {
-  return A.LengthPenalty == B.LengthPenalty &&
-         A.ReplacementBonus == B.ReplacementBonus &&
-         A.StackSizeTerm == B.StackSizeTerm &&
-         A.ParentCountTerm == B.ParentCountTerm &&
-         A.PathNovelty == B.PathNovelty;
-}
-
 } // namespace
 
 void CandidateStore::rescoreCompact(const BranchCoverageMap &VBr,
@@ -482,7 +474,7 @@ void CandidateStore::rescoreCompact(const BranchCoverageMap &VBr,
   // Members of dirty groups hold push-time scores, not the formula, and
   // are recomputed in full, as is everything after a switch change.
   uint64_t Now = VBr.epoch();
-  bool SameTerms = sameTerms(Heur, LastHeur);
+  bool SameTerms = Heur == LastHeur;
   LastHeur = Heur;
   if (GroupDelta.size() < Groups.size()) {
     GroupDelta.reserve(Groups.capacity()); // the slab's 1.25x, not 2x

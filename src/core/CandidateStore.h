@@ -216,9 +216,9 @@ public:
   /// Re-filters every queued candidate's new-branch list against \p VBr
   /// and brings every score up to date (Algorithm 1 lines 40-43) by delta
   /// rescoring (see the file comment); enforces the queue cap by dropping
-  /// the worst-scored half when exceeded. Returns
-  /// true when a trim happened (the campaign resets its requeue counters
-  /// on trim, as before).
+  /// the worst-scored half when exceeded. Returns true when a trim
+  /// happened (the campaign resets its requeue counters on trim, as
+  /// before).
   bool rescore(const BranchCoverageMap &VBr, const PathCountMap &PathCounts,
                const HeuristicOptions &Heur);
 

@@ -40,6 +40,8 @@ struct HeuristicOptions {
   bool StackSizeTerm = true;
   bool ParentCountTerm = true;
   bool PathNovelty = true;
+
+  bool operator==(const HeuristicOptions &) const = default;
 };
 
 /// Inputs to one heuristic evaluation.
