@@ -25,7 +25,7 @@
 #include "core/PFuzzer.h"
 #include "eval/TableWriter.h"
 #include "support/CommandLine.h"
-#include "support/Scheduler.h"
+#include "support/Parallel.h"
 #include "tokens/TokenCoverage.h"
 
 #include <cstdio>
@@ -119,13 +119,8 @@ int main(int Argc, char **Argv) {
       Outcomes[Idx] = {Tokens.found().size(), Long,
                        R.coverageRatio(*S) * 100};
     };
-    if (Jobs == 1) {
-      for (size_t Idx = 0; Idx != NumVariants; ++Idx)
-        RunVariant(Idx);
-    } else {
-      Scheduler::global().parallelFor(0, NumVariants, RunVariant,
-                                      Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
-    }
+    parallelFor(0, NumVariants, RunVariant,
+                Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
 
     for (size_t Idx = 0; Idx != NumVariants; ++Idx) {
       char Cov[32];

@@ -21,8 +21,8 @@
 #include "core/PFuzzer.h"
 #include "eval/TableWriter.h"
 #include "support/CommandLine.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
-#include "support/Scheduler.h"
 #include "tokens/TokenCoverage.h"
 
 #include <algorithm>
@@ -117,13 +117,8 @@ int main(int Argc, char **Argv) {
                            static_cast<double>(Tokens.found().size()),
                            static_cast<double>(Long)};
     };
-    if (Jobs == 1) {
-      for (size_t TaskIdx = 0; TaskIdx != Outcomes.size(); ++TaskIdx)
-        RunTask(TaskIdx);
-    } else {
-      Scheduler::global().parallelFor(0, Outcomes.size(), RunTask,
-                                      Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
-    }
+    parallelFor(0, Outcomes.size(), RunTask,
+                Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
     for (size_t VarIdx = 0; VarIdx != Vars.size(); ++VarIdx) {
       double SumValid = 0, SumCov = 0, SumTokens = 0, SumLong = 0;
       for (size_t Run = 0; Run != NumRuns; ++Run) {

@@ -20,8 +20,8 @@
 #include "core/PFuzzer.h"
 #include "eval/TableWriter.h"
 #include "support/CommandLine.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
-#include "support/Scheduler.h"
 
 #include <cstdio>
 
@@ -53,13 +53,7 @@ int main(int Argc, char **Argv) {
     PFuzzer Tool;
     Reports[Idx] = Tool.run(*Subjects[Idx], Opts);
   };
-  if (Jobs == 1) {
-    RunCampaign(0);
-    RunCampaign(1);
-  } else {
-    Scheduler::global().parallelFor(0, 2, RunCampaign,
-                                    Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
-  }
+  parallelFor(0, 2, RunCampaign, Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
   FuzzReport &Plain = Reports[0];
   FuzzReport &Sem = Reports[1];
   uint64_t SurviveSemantics = 0;

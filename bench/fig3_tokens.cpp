@@ -38,8 +38,6 @@ int main(int Argc, char **Argv) {
   ToolOptions ToolCfg;
   ToolCfg.PFuzzerRunCache =
       static_cast<uint32_t>(Cli.getCount("run-cache", ToolCfg.PFuzzerRunCache));
-  ToolCfg.PFuzzerSpeculation = static_cast<int>(
-      Cli.getCount("speculate", ToolCfg.PFuzzerSpeculation, /*Min=*/-1));
   ToolCfg.PFuzzerResumeCache = static_cast<uint32_t>(
       Cli.getCount("resume-cache", ToolCfg.PFuzzerResumeCache));
   std::string TelemetryPath = Cli.getString("telemetry", "");
@@ -51,7 +49,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: fig3_tokens [--budget-scale=N] [--runs=N]"
                          " [--seed=N] [--jobs=N] [--run-cache=N]"
-                         " [--resume-cache=N] [--speculate=N]"
+                         " [--resume-cache=N]"
                          " [--telemetry=FILE] [--heartbeat=N]"
                          " [--json=PATH]\n");
     return 1;
@@ -115,7 +113,7 @@ int main(int Argc, char **Argv) {
                            std::string(S->name()),
                 .ExecsPerSec = R.execsPerSec(),
                 .WallMs = R.WallSeconds * 1000.0,
-                .ResumeHitRate = R.Resume.hitRate()});
+                .ResumeHitRate = R.Telemetry.Resume.hitRate()});
       std::fprintf(stderr, "  done: %s on %s (%zu tokens, %s, %s)\n",
                    std::string(toolName(Tools[T])).c_str(),
                    std::string(S->name()).c_str(), R.TokensFound.size(),

@@ -36,8 +36,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "RunResultCompare.h"
 #include "core/PFuzzer.h"
+#include "runtime/ExecutionContext.h"
 #include "subjects/Subject.h"
 #include "support/CommandLine.h"
 
@@ -48,9 +48,39 @@ using namespace pfuzz;
 
 namespace {
 
+/// Full-depth RunResult equality: every trace, every comparison operand,
+/// every taint set.
+bool sameRunResult(const RunResult &A, const RunResult &B) {
+  if (A.ExitCode != B.ExitCode || A.BranchTrace != B.BranchTrace ||
+      A.EventChars != B.EventChars || A.FunctionNames != B.FunctionNames ||
+      A.EofAccesses.size() != B.EofAccesses.size() ||
+      A.CallTrace.size() != B.CallTrace.size() ||
+      A.Comparisons.size() != B.Comparisons.size())
+    return false;
+  for (size_t I = 0; I != A.EofAccesses.size(); ++I)
+    if (A.EofAccesses[I].AccessIndex != B.EofAccesses[I].AccessIndex)
+      return false;
+  for (size_t I = 0; I != A.CallTrace.size(); ++I)
+    if (A.CallTrace[I].NameId != B.CallTrace[I].NameId ||
+        A.CallTrace[I].Cursor != B.CallTrace[I].Cursor)
+      return false;
+  for (size_t I = 0; I != A.Comparisons.size(); ++I) {
+    const ComparisonEvent &EA = A.Comparisons[I];
+    const ComparisonEvent &EB = B.Comparisons[I];
+    if (EA.Kind != EB.Kind || EA.Matched != EB.Matched ||
+        EA.OnEof != EB.OnEof || EA.Implicit != EB.Implicit ||
+        EA.StackDepth != EB.StackDepth ||
+        EA.TracePosition != EB.TracePosition ||
+        A.expected(EA) != B.expected(EB) || A.actual(EA) != B.actual(EB) ||
+        !(EA.Taint == EB.Taint))
+      return false;
+  }
+  return true;
+}
+
 struct RunOutcome {
   FuzzReport Report;
-  ResumeStats Stats;
+  TelemetrySnapshot Telemetry;
   double WallSeconds = 0;
 };
 
@@ -64,7 +94,7 @@ RunOutcome runOnce(const Subject &S, uint64_t Execs, uint64_t Seed,
   Options.ResumeMinLength = ResumeMin;
   Options.ResumeStride = ResumeStride;
   Options.ResumeRungs = ResumeRungs;
-  Options.ResumeStatsOut = &Out.Stats;
+  Options.TelemetryOut = &Out.Telemetry;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
@@ -311,8 +341,8 @@ int main(int Argc, char **Argv) {
     std::printf("%-8s %9s %9.3f %11.0f %7.2fx %5.1f%% %12llu  %s\n",
                 S->name().data(), "resume", Warm.WallSeconds,
                 Warm.WallSeconds > 0 ? Execs / Warm.WallSeconds : 0, Speedup,
-                100 * Warm.Stats.hitRate(),
-                static_cast<unsigned long long>(Warm.Stats.BytesSkipped),
+                100 * Warm.Telemetry.Resume.hitRate(),
+                static_cast<unsigned long long>(Warm.Telemetry.Resume.BytesSkipped),
                 Identical ? "identical" : "MISMATCH");
     Json.add({.Bench = "micro_resume",
               .Subject = std::string(S->name()) + "/cold",
@@ -324,8 +354,8 @@ int main(int Argc, char **Argv) {
               .ExecsPerSec = Warm.WallSeconds > 0 ? Execs / Warm.WallSeconds
                                                   : 0,
               .WallMs = Warm.WallSeconds * 1000.0,
-              .ResumeHitRate = Warm.Stats.hitRate(),
-              .ResumeRungDepth = Warm.Stats.avgHitRungDepth()});
+              .ResumeHitRate = Warm.Telemetry.Resume.hitRate(),
+              .ResumeRungDepth = Warm.Telemetry.Resume.avgHitRungDepth()});
   }
   if (!AllIdentical) {
     std::fprintf(stderr, "error: a resuming run diverged from the cold"

@@ -41,7 +41,7 @@
 #include "core/ShardSync.h"
 #include "subjects/Subject.h"
 #include "support/CommandLine.h"
-#include "support/Scheduler.h"
+#include "support/Parallel.h"
 
 #include <chrono>
 #include <cstdio>
@@ -52,7 +52,7 @@ namespace {
 
 struct RunOutcome {
   FuzzReport Report;
-  ShardStats Shards;
+  TelemetrySnapshot Telemetry;
   double WallSeconds = 0;
 };
 
@@ -65,7 +65,7 @@ RunOutcome runOnce(const Subject &S, uint64_t Execs, uint64_t Seed,
     if (SyncInterval != 0)
       Options.ShardSyncInterval = SyncInterval;
   }
-  Options.ShardStatsOut = &Out.Shards;
+  Options.TelemetryOut = &Out.Telemetry;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
@@ -100,7 +100,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  unsigned Hardware = Scheduler::hardwareThreads();
+  unsigned Hardware = hardwareThreads();
   bool CheckSpeedup = Hardware >= 4;
   std::printf("== Sharded campaign: throughput and frontier sync ==\n");
   std::printf("(%llu execs per run, seed %llu, sync interval %s,"
@@ -122,7 +122,7 @@ int main(int Argc, char **Argv) {
     RunOutcome Single;
     for (uint32_t N : ShardGrid) {
       RunOutcome Out = runOnce(*S, Execs, Seed, N, Sync);
-      const ShardStats &St = Out.Shards;
+      const ShardStats &St = Out.Telemetry.Sharding;
       bool Identical = true;
       if (N == 1) {
         // Contract 1: --shards=1 is the plain engine, byte for byte.

@@ -20,8 +20,8 @@
 #include "eval/TableWriter.h"
 #include "mining/MiningPipeline.h"
 #include "support/CommandLine.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
-#include "support/Scheduler.h"
 
 #include <cstdio>
 
@@ -56,13 +56,7 @@ int main(int Argc, char **Argv) {
     Results[Idx] =
         runMiningPipeline(*findSubject(Names[Idx]), Explore, Generate, Seed);
   };
-  if (Jobs == 1) {
-    for (size_t Idx = 0; Idx != 4; ++Idx)
-      RunPipeline(Idx);
-  } else {
-    Scheduler::global().parallelFor(0, 4, RunPipeline,
-                                    Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
-  }
+  parallelFor(0, 4, RunPipeline, Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
   for (size_t Idx = 0; Idx != 4; ++Idx) {
     const PipelineResult &R = Results[Idx];
     Table.addRow({Names[Idx], std::to_string(R.SeedInputs.size()),

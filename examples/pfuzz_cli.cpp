@@ -22,7 +22,6 @@
 #include "eval/TableWriter.h"
 #include "mining/MiningPipeline.h"
 #include "support/CommandLine.h"
-#include "support/Scheduler.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "tokens/TokenCoverage.h"
@@ -42,19 +41,12 @@ int main(int Argc, char **Argv) {
   ToolOptions Tools;
   Tools.PFuzzerRunCache =
       static_cast<uint32_t>(Cli.getCount("run-cache", Tools.PFuzzerRunCache));
-  Tools.PFuzzerSpeculation = static_cast<int>(
-      Cli.getCount("speculate", Tools.PFuzzerSpeculation, /*Min=*/-1));
-  Tools.PFuzzerSpeculationDepth = static_cast<uint32_t>(
-      Cli.getCount("speculate-depth", Tools.PFuzzerSpeculationDepth));
   Tools.PFuzzerResumeCache = static_cast<uint32_t>(
       Cli.getCount("resume-cache", Tools.PFuzzerResumeCache));
   Tools.PFuzzerResumeStride = static_cast<uint32_t>(
       Cli.getCount("resume-stride", Tools.PFuzzerResumeStride));
   Tools.PFuzzerResumeRungs = static_cast<uint32_t>(
       Cli.getCount("resume-rungs", Tools.PFuzzerResumeRungs));
-  // --locality is a switch with a tuned default batch size; the exact
-  // size is a wall-clock knob, never a behavior one.
-  Tools.PFuzzerLocality = Cli.getBool("locality", false) ? 64 : 0;
   Tools.PFuzzerMaxQueue =
       static_cast<size_t>(Cli.getCount("max-queue", Tools.PFuzzerMaxQueue));
   // getCount with Min=1 rejects 0, negatives and garbage outright —
@@ -71,8 +63,6 @@ int main(int Argc, char **Argv) {
       Cli.getCount("heartbeat", 4096, /*Min=*/1));
   bool TelemetryStatsFlag = Cli.getBool("telemetry-stats", false);
   bool ListSubjects = Cli.getBool("list-subjects", false);
-  bool LocalityStatsFlag = Cli.getBool("locality-stats", false);
-  bool SchedStatsFlag = Cli.getBool("sched-stats", false);
   bool QueueStatsFlag = Cli.getBool("queue-stats", false);
   bool Mine = Cli.getBool("mine", false);
   bool Quiet = Cli.getBool("quiet", false);
@@ -85,9 +75,8 @@ int main(int Argc, char **Argv) {
                  "usage: pfuzz_cli [--subject=NAME] [--tool=NAME]"
                  " [--execs=N] [--seed=N] [--runs=N] [--jobs=N]"
                  " [--run-cache=N] [--resume-cache=N] [--resume-stride=N]"
-                 " [--resume-rungs=N] [--locality] [--locality-stats]"
-                 " [--speculate=N] [--speculate-depth=N] [--sched-stats]"
-                 " [--max-queue=N] [--queue-stats] [--shards=N]"
+                 " [--resume-rungs=N] [--max-queue=N] [--queue-stats]"
+                 " [--shards=N]"
                  " [--shard-sync=N] [--shard-stats] [--telemetry=FILE]"
                  " [--heartbeat=N] [--telemetry-stats] [--list-subjects]"
                  " [--mine] [--quiet]\n"
@@ -100,13 +89,6 @@ int main(int Argc, char **Argv) {
                  "--resume-stride: checkpoint-ladder byte stride (0 = only"
                  " past-end checkpoints; identical results at any value)\n"
                  "--resume-rungs: ladder checkpoints per run\n"
-                 "--locality: pre-execute the equal-score queue front in"
-                 " prefix order (identical results on or off)\n"
-                 "--locality-stats: print locality-scheduler counters\n"
-                 "--speculate: pFuzzer prefetch hint per campaign"
-                 " (0=off, -1=auto; results are identical at any value)\n"
-                 "--speculate-depth: candidates kept in flight (0=auto)\n"
-                 "--sched-stats: print work-stealing scheduler counters\n"
                  "--max-queue: candidate-queue cap (0 = default; unlike"
                  " the knobs above this one changes which candidates"
                  " survive trims)\n"
@@ -165,9 +147,9 @@ int main(int Argc, char **Argv) {
 
   // A campaign of one or more seeds; --jobs=N runs the seeds in parallel
   // (results are identical for every jobs value — see eval/Campaign.h).
-  SchedulerStats SchedBefore = Scheduler::globalStats();
   CampaignResult Best = runCampaign(Kind, *S, Execs, Seed, Runs, Jobs, Tools);
   const FuzzReport &R = Best.Report;
+  const TelemetrySnapshot &T = Best.Telemetry;
 
   if (!Quiet)
     for (const std::string &Input : R.ValidInputs)
@@ -185,29 +167,15 @@ int main(int Argc, char **Argv) {
                formatSeconds(Best.WallSeconds).c_str(),
                formatExecsPerSec(Best.TotalExecutions, Best.WallSeconds)
                    .c_str());
-  if (Best.Resume.Probes > 0)
+  if (T.Resume.Probes > 0)
     std::fprintf(stderr,
                  "prefix resumption: %.1f%% hit rate, %llu bytes skipped,"
                  " avg rung depth %.2f\n",
-                 100 * Best.Resume.hitRate(),
-                 static_cast<unsigned long long>(Best.Resume.BytesSkipped),
-                 Best.Resume.avgHitRungDepth());
-  if (LocalityStatsFlag) {
-    const LocalityStats &L = Best.Locality;
-    std::fprintf(stderr,
-                 "locality batching: %llu batches, %llu tie-front"
-                 " candidates, %llu pre-executed, %llu consumed"
-                 " (%.1f%%), %llu recycled, %llu discarded\n",
-                 static_cast<unsigned long long>(L.Batches),
-                 static_cast<unsigned long long>(L.TieFront),
-                 static_cast<unsigned long long>(L.Batched),
-                 static_cast<unsigned long long>(L.Consumed),
-                 100 * L.consumeRate(),
-                 static_cast<unsigned long long>(L.Recycled),
-                 static_cast<unsigned long long>(L.Discarded));
-  }
+                 100 * T.Resume.hitRate(),
+                 static_cast<unsigned long long>(T.Resume.BytesSkipped),
+                 T.Resume.avgHitRungDepth());
   if (QueueStatsFlag) {
-    const QueueStats &Q = Best.Queue;
+    const QueueStats &Q = T.Queue;
     std::fprintf(stderr,
                  "candidate store: %llu pushes, %llu rescores (%.1f ms,"
                  " %llu group slices), %llu trims (%llu dropped),"
@@ -232,7 +200,7 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Q.PeakPathTable));
   }
   if (ShardStatsFlag) {
-    const ShardStats &Sh = Best.Shards;
+    const ShardStats &Sh = T.Sharding;
     std::fprintf(stderr,
                  "shard sync: %llu sync points, %llu deltas published"
                  " (%llu merged), %llu branches imported, migrations"
@@ -247,25 +215,7 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Sh.MigrationsOffered),
                  static_cast<unsigned long long>(Sh.MaxFrontierLag));
   }
-  if (SchedStatsFlag) {
-    SchedulerStats D = Scheduler::globalStats().minus(SchedBefore);
-    std::fprintf(stderr,
-                 "scheduler: %llu tasks (%llu jobs, %llu locality,"
-                 " %llu speculation), %llu on workers, %llu inline,"
-                 " %llu stolen, %llu cancelled, steal success %.1f%%,"
-                 " idle %.2fs\n",
-                 static_cast<unsigned long long>(D.submitted()),
-                 static_cast<unsigned long long>(D.Submitted[0]),
-                 static_cast<unsigned long long>(D.Submitted[1]),
-                 static_cast<unsigned long long>(D.Submitted[2]),
-                 static_cast<unsigned long long>(D.executed()),
-                 static_cast<unsigned long long>(D.RanInline),
-                 static_cast<unsigned long long>(D.Stolen),
-                 static_cast<unsigned long long>(D.Cancelled),
-                 100 * D.stealSuccessRate(), D.IdleSeconds);
-  }
   if (TelemetryStatsFlag) {
-    const TelemetrySnapshot &T = Best.Telemetry;
     std::fprintf(stderr,
                  "telemetry: %llu executions, %llu valid inputs,"
                  " frontier %llu, run cache %llu/%llu (%.1f%%)\n",
@@ -276,29 +226,24 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(T.RunCacheLookups),
                  100 * T.runCacheHitRate());
     std::fprintf(stderr,
-                 "telemetry: speculation %llu submitted / %llu hits,"
-                 " resume %llu/%llu probes, locality %llu batched,"
-                 " queue peak %llu bytes, %llu shard sync points,"
-                 " sched %llu tasks (%llu stolen)\n",
-                 static_cast<unsigned long long>(T.Speculation.Submitted),
-                 static_cast<unsigned long long>(T.Speculation.Hits),
+                 "telemetry: resume %llu/%llu probes, queue peak %llu"
+                 " bytes, %llu shard sync points\n",
                  static_cast<unsigned long long>(T.Resume.Hits),
                  static_cast<unsigned long long>(T.Resume.Probes),
-                 static_cast<unsigned long long>(T.Locality.Batched),
                  static_cast<unsigned long long>(T.Queue.PeakBytes),
-                 static_cast<unsigned long long>(T.Sharding.SyncPoints),
-                 static_cast<unsigned long long>(T.Sched.submitted()),
-                 static_cast<unsigned long long>(T.Sched.Stolen));
+                 static_cast<unsigned long long>(T.Sharding.SyncPoints));
   }
   if (Heartbeat.enabled()) {
     uint64_t Beats = Heartbeat.beats();
-    if (!Heartbeat.close())
+    // A stream that lost records must not pass for a successful run.
+    if (!Heartbeat.close()) {
       std::fprintf(stderr, "error: writing telemetry file '%s' failed\n",
                    TelemetryPath.c_str());
-    else
-      std::fprintf(stderr, "telemetry: %llu heartbeat records -> %s\n",
-                   static_cast<unsigned long long>(Beats),
-                   TelemetryPath.c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "telemetry: %llu heartbeat records -> %s\n",
+                 static_cast<unsigned long long>(Beats),
+                 TelemetryPath.c_str());
   }
   std::fprintf(stderr, "coverage timeline (execs -> branch outcomes):\n");
   size_t Step = std::max<size_t>(1, R.CoverageTimeline.size() / 8);

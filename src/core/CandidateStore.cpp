@@ -394,13 +394,6 @@ uint64_t CandidateStore::hashAt(size_t Pos) const {
                    : Records[Entries[Pos].Id].InputHash;
 }
 
-void CandidateStore::materializeAt(size_t Pos, std::string &Out) const {
-  if (Reference)
-    Out = RefQueue[Pos].Input;
-  else
-    materialize(Entries[Pos].Id, Out);
-}
-
 void CandidateStore::exportAt(size_t Pos, Exported &Out) const {
   if (Reference) {
     const RefCandidate &C = RefQueue[Pos];

@@ -46,7 +46,7 @@ public:
   /// lies below \p Min (0 by default: counts of things) is a usage
   /// error: a diagnostic naming the flag is recorded in errors(), ok()
   /// turns false, and \p Default is returned. Flags with a sentinel
-  /// (e.g. --speculate's -1 = auto) pass their own floor.
+  /// (e.g. --shards, at least 1) pass their own floor.
   int64_t getCount(const std::string &Name, int64_t Default,
                    int64_t Min = 0) const;
 

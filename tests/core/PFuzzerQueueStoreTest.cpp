@@ -9,8 +9,8 @@
 /// representation only, never behavior. A campaign run on compact
 /// prefix-suffix records must produce a FuzzReport byte-identical to the
 /// same campaign run on the string-backed reference queue — on every
-/// evaluation subject, crossed with speculation, locality batching, run
-/// cache and queue-trim pressure. Plus direct store unit tests
+/// evaluation subject, crossed with the run cache, the resume engine,
+/// queue-trim pressure, path-table decay and each heuristic term. Plus direct store unit tests
 /// (materialization chains, trim + arena compaction, delta rescoring
 /// against the reference at every heap position, the running byte
 /// total) and the PathCounts decay regression.
@@ -37,8 +37,6 @@ namespace {
 struct QueueConfig {
   const char *Name;
   uint32_t RunCache = 64;
-  uint32_t Speculation = 0;
-  uint32_t Locality = 0;
   uint32_t ResumeCache = 0;
   size_t MaxQueue = 100000;
   HeuristicOptions Heur = {};
@@ -56,21 +54,23 @@ FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
                      QueueStats *Stats = nullptr) {
   PFuzzerOptions Options;
   Options.RunCacheSize = C.RunCache;
-  Options.SpeculationThreads = C.Speculation;
-  Options.LocalityBatch = C.Locality;
   Options.ResumeCacheSize = C.ResumeCache;
   // Engage the resume engine on every input so short campaign inputs
   // exercise the warm handoff paths too.
   Options.ResumeMinLength = 0;
   Options.MaxQueue = C.MaxQueue;
   Options.ReferenceQueue = Reference;
-  Options.QueueStatsOut = Stats;
+  TelemetrySnapshot Telemetry;
+  Options.TelemetryOut = &Telemetry;
   Options.Heur = C.Heur;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
   Opts.MaxExecutions = Execs;
-  return Tool.run(S, Opts);
+  FuzzReport Report = Tool.run(S, Opts);
+  if (Stats)
+    *Stats = Telemetry.Queue;
+  return Report;
 }
 
 void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
@@ -91,21 +91,17 @@ TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
   // group's score part) and every heuristic term switched off in turn.
   const QueueConfig Configs[] = {
       {"default"},
-      {"nocache-trim", /*RunCache=*/0, 0, 0, 0, /*MaxQueue=*/256},
-      {"speculation", 64, /*Speculation=*/2},
-      {"locality-resume", 64, 0, /*Locality=*/64, /*ResumeCache=*/64},
-      {"all-trim", 64, /*Speculation=*/2, /*Locality=*/64, /*ResumeCache=*/64,
-       /*MaxQueue=*/512},
-      {"path-decay", 64, 0, 0, 0, /*MaxQueue=*/32},
-      {"no-length", 64, 0, 0, 0, 100000,
-       without(&HeuristicOptions::LengthPenalty)},
-      {"no-replacement", 64, 0, 0, 0, 100000,
+      {"nocache-trim", /*RunCache=*/0, 0, /*MaxQueue=*/256},
+      {"resume", 64, /*ResumeCache=*/64},
+      {"all-trim", 64, /*ResumeCache=*/64, /*MaxQueue=*/512},
+      {"path-decay", 64, 0, /*MaxQueue=*/32},
+      {"no-length", 64, 0, 100000, without(&HeuristicOptions::LengthPenalty)},
+      {"no-replacement", 64, 0, 100000,
        without(&HeuristicOptions::ReplacementBonus)},
-      {"no-stack", 64, 0, 0, 0, 100000,
-       without(&HeuristicOptions::StackSizeTerm)},
-      {"no-parents", 64, 0, 0, 0, 100000,
+      {"no-stack", 64, 0, 100000, without(&HeuristicOptions::StackSizeTerm)},
+      {"no-parents", 64, 0, 100000,
        without(&HeuristicOptions::ParentCountTerm)},
-      {"no-path", 64, 0, 0, 0, 100000, without(&HeuristicOptions::PathNovelty)},
+      {"no-path", 64, 0, 100000, without(&HeuristicOptions::PathNovelty)},
   };
   for (const Subject *S : evaluationSubjects()) {
     uint64_t Execs = S == &jsonSubject() ? 3000 : 1500;
@@ -121,7 +117,7 @@ TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
 TEST(PFuzzerQueueStoreTest, TrimPressureConfigActuallyTrims) {
   // Guard against the sweep silently losing its trim coverage: the
   // small-cap config must overflow the queue and drop candidates.
-  QueueConfig C{"nocache-trim", /*RunCache=*/0, 0, 0, 0, /*MaxQueue=*/256};
+  QueueConfig C{"nocache-trim", /*RunCache=*/0, 0, /*MaxQueue=*/256};
   QueueStats Stats;
   fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Stats);
   EXPECT_GT(Stats.Trims, 0u);
@@ -149,7 +145,7 @@ TEST(PFuzzerQueueStoreTest, PathTableDecaysInsteadOfGrowingUnbounded) {
   // Regression for the unbounded PathCounts growth: with a small cap the
   // campaign must decay the table (halve counts, drop zeros) instead of
   // letting it grow past the cap, and still complete its budget.
-  QueueConfig C{"tiny-cap", 64, 0, 0, 0, /*MaxQueue=*/32};
+  QueueConfig C{"tiny-cap", 64, 0, /*MaxQueue=*/32};
   QueueStats Stats;
   FuzzReport Report =
       fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Stats);

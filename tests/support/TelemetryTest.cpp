@@ -19,8 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -255,7 +257,6 @@ TEST(TelemetryTest, HeartbeatRecordsCarryStableSchemaAndMonotoneColumns) {
         S.QueueBytes = 4096;
         S.RunCacheHitRate = 0.25;
         S.ResumeHitRate = 0.5;
-        S.SchedStealRate = 0.125;
         S.ShardLag = 1;
         HB.emit(S);
       }
@@ -269,14 +270,23 @@ TEST(TelemetryTest, HeartbeatRecordsCarryStableSchemaAndMonotoneColumns) {
                         "wall_s",       "execs_per_sec",
                         "frontier",     "queue_bytes",
                         "run_cache_hit_rate", "resume_hit_rate",
-                        "sched_steal_rate",   "shard_lag"};
+                        "shard_lag"};
   uint64_t LastBeat = 0, LastExecs = 0;
   for (const std::string &Line : Lines) {
-    // Every record is a one-line object carrying the full fixed key set.
+    // Every record is a one-line object carrying exactly the fixed key
+    // set, in order (values are numbers, so each ':' separates one key).
     EXPECT_EQ(Line.front(), '{');
     EXPECT_EQ(Line.back(), '}');
-    for (const char *Key : Keys)
+    size_t LastAt = 0;
+    for (const char *Key : Keys) {
       EXPECT_NE(fieldOf(Line, Key), "") << Key << " missing in " << Line;
+      size_t At = Line.find(std::string("\"") + Key + "\": ");
+      EXPECT_GE(At, LastAt) << Key << " out of order in " << Line;
+      LastAt = At;
+    }
+    EXPECT_EQ(static_cast<size_t>(std::count(Line.begin(), Line.end(), ':')),
+              std::size(Keys))
+        << Line;
     uint64_t Beat = std::stoull(fieldOf(Line, "beat"));
     uint64_t Execs = std::stoull(fieldOf(Line, "executions"));
     EXPECT_GT(Beat, LastBeat);
