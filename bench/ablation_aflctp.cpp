@@ -66,11 +66,13 @@ std::unique_ptr<Fuzzer> makePFuzzer() { return std::make_unique<PFuzzer>(); }
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t AflExecs = static_cast<uint64_t>(Cli.getInt("afl-execs", 150000));
-  uint64_t PfExecs = static_cast<uint64_t>(Cli.getInt("pf-execs", 60000));
+  uint64_t AflExecs = static_cast<uint64_t>(Cli.getCount("afl-execs", 150000));
+  uint64_t PfExecs = static_cast<uint64_t>(Cli.getCount("pf-execs", 60000));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Jobs = static_cast<int>(Cli.getInt("jobs", 1));
+  int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
+    for (const std::string &Err : Cli.errors())
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: ablation_aflctp [--afl-execs=N]"
                          " [--pf-execs=N] [--seed=N] [--jobs=N]\n");
     return 1;

@@ -31,8 +31,9 @@ using namespace pfuzz;
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
   CampaignBudgets Budgets;
-  Budgets.scale(static_cast<uint64_t>(Cli.getInt("budget-scale", 1)));
-  int Runs = static_cast<int>(Cli.getInt("runs", 1));
+  Budgets.scale(
+      static_cast<uint64_t>(Cli.getCount("budget-scale", 1, /*Min=*/1)));
+  int Runs = static_cast<int>(Cli.getCount("runs", 1, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   ToolOptions ToolCfg;

@@ -17,8 +17,13 @@
 /// arena-backed events, inline taint representation and interned function
 /// names drive to zero.
 ///
+/// The Campaign rows count the fuzzer's own loop on top: a pFuzzer
+/// campaign at the shipped defaults, per execution, in steady state (see
+/// runCampaignAllocBench).
+///
 //===----------------------------------------------------------------------===//
 
+#include "eval/Campaign.h"
 #include "subjects/Subject.h"
 
 #include <benchmark/benchmark.h>
@@ -93,7 +98,51 @@ void runAllocBench(benchmark::State &State, const Subject &S,
       static_cast<double>(Allocs) / static_cast<double>(Execs ? Execs : 1);
 }
 
+/// Heap allocations per execution of a 20k-execution pFuzzer campaign at
+/// the shipped defaults. A campaign is a pure function of its seed, so
+/// the first 10k executions of the 20k campaign replay a 10k campaign;
+/// the difference of the two counts is the steady-state second half,
+/// free of the warm-up growth of queues, tables and pooled buffers (up
+/// to the coverage timeline, whose sampling interval scales with the
+/// budget). allocs_per_exec_total is the whole campaign, warm-up
+/// included.
+void runCampaignAllocBench(benchmark::State &State, const Subject &S) {
+  std::unique_ptr<Fuzzer> Tool = makeFuzzer(ToolKind::PFuzzer, ToolOptions());
+  auto CountAllocs = [&](uint64_t Execs) {
+    FuzzerOptions Opts;
+    Opts.Seed = 1;
+    Opts.MaxExecutions = Execs;
+    uint64_t Before = AllocCount.load(std::memory_order_relaxed);
+    FuzzReport Report = Tool->run(S, Opts);
+    benchmark::DoNotOptimize(Report.Executions);
+    return AllocCount.load(std::memory_order_relaxed) - Before;
+  };
+  constexpr uint64_t Execs = 20000;
+  uint64_t Half = 0, Full = 0;
+  for (auto _ : State) {
+    Half = CountAllocs(Execs / 2);
+    Full = CountAllocs(Execs);
+  }
+  State.counters["allocs_per_exec"] =
+      static_cast<double>(Full - Half) / static_cast<double>(Execs / 2);
+  State.counters["allocs_per_exec_total"] =
+      static_cast<double>(Full) / static_cast<double>(Execs);
+}
+
 } // namespace
+
+static void BM_json_Campaign_Allocs(benchmark::State &State) {
+  runCampaignAllocBench(State, jsonSubject());
+}
+BENCHMARK(BM_json_Campaign_Allocs)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+static void BM_mjs_Campaign_Allocs(benchmark::State &State) {
+  runCampaignAllocBench(State, mjsSubject());
+}
+BENCHMARK(BM_mjs_Campaign_Allocs)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 #define PFUZZ_ALLOC_BENCH(SUBJECT)                                           \
   static void BM_##SUBJECT##_Allocs_Off(benchmark::State &State) {           \

@@ -232,8 +232,8 @@ bool identicalResults(const CampaignResult &A, const CampaignResult &B) {
 int runSweep(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
   Cli.getBool("sweep", false); // the mode switch that got us here
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("sweep-execs", 2500));
-  int Runs = static_cast<int>(Cli.getInt("sweep-runs", 3));
+  uint64_t Execs = static_cast<uint64_t>(Cli.getCount("sweep-execs", 2500));
+  int Runs = static_cast<int>(Cli.getCount("sweep-runs", 3, /*Min=*/1));
   BenchJsonWriter Json(Cli.getString("json", ""));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     for (const std::string &Err : Cli.errors())

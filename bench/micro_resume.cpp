@@ -203,7 +203,7 @@ bool sweepRun(const Subject &S, const std::vector<std::string> &Steps,
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 30000));
+  uint64_t Execs = static_cast<uint64_t>(Cli.getCount("execs", 30000));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   uint32_t ResumeCache =
       static_cast<uint32_t>(Cli.getCount("resume-cache", 256));

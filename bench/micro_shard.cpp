@@ -88,7 +88,7 @@ bool sameReport(const FuzzReport &A, const FuzzReport &B) {
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 20000));
+  uint64_t Execs = static_cast<uint64_t>(Cli.getCount("execs", 20000));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   uint32_t Sync = static_cast<uint32_t>(Cli.getCount("sync", 0));
   BenchJsonWriter Json(Cli.getString("json", ""));

@@ -29,11 +29,13 @@ using namespace pfuzz;
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Explore = static_cast<uint64_t>(Cli.getInt("explore", 30000));
-  uint64_t Generate = static_cast<uint64_t>(Cli.getInt("generate", 2000));
+  uint64_t Explore = static_cast<uint64_t>(Cli.getCount("explore", 30000));
+  uint64_t Generate = static_cast<uint64_t>(Cli.getCount("generate", 2000));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Jobs = static_cast<int>(Cli.getInt("jobs", 1));
+  int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
+    for (const std::string &Err : Cli.errors())
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: pipeline_grammar [--explore=N]"
                          " [--generate=N] [--seed=N] [--jobs=N]\n");
     return 1;

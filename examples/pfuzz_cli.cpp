@@ -34,9 +34,9 @@ int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
   std::string SubjectName = Cli.getString("subject", "json");
   std::string ToolName = Cli.getString("tool", "pfuzzer");
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 50000));
+  uint64_t Execs = static_cast<uint64_t>(Cli.getCount("execs", 50000));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Runs = static_cast<int>(Cli.getInt("runs", 1));
+  int Runs = static_cast<int>(Cli.getCount("runs", 1, /*Min=*/1));
   int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   ToolOptions Tools;
   Tools.PFuzzerRunCache =
@@ -177,11 +177,13 @@ int main(int Argc, char **Argv) {
   if (QueueStatsFlag) {
     const QueueStats &Q = T.Queue;
     std::fprintf(stderr,
-                 "candidate store: %llu pushes, %llu rescores (%.1f ms,"
+                 "candidate store: %llu pushes (%llu duplicate candidates"
+                 " dropped), %llu rescores (%.1f ms,"
                  " %llu group slices), %llu trims (%llu dropped),"
                  " %llu compactions (%llu bytes reclaimed),"
                  " %llu path decays\n",
                  static_cast<unsigned long long>(Q.Pushes),
+                 static_cast<unsigned long long>(Q.DuplicateCandidates),
                  static_cast<unsigned long long>(Q.Rescores),
                  static_cast<double>(Q.RescoreNanos) / 1e6,
                  static_cast<unsigned long long>(Q.GroupsFiltered),

@@ -23,9 +23,11 @@ using namespace pfuzz;
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 5000));
+  uint64_t Execs = static_cast<uint64_t>(Cli.getCount("execs", 5000));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
+    for (const std::string &Err : Cli.errors())
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: quickstart [--execs=N] [--seed=N]\n");
     return 1;
   }

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace pfuzz;
@@ -39,6 +40,7 @@ struct EntryScoreGreater {
 
 void QueueStats::accumulate(const QueueStats &Other) {
   Pushes += Other.Pushes;
+  DuplicateCandidates += Other.DuplicateCandidates;
   Rescores += Other.Rescores;
   RescoreNanos += Other.RescoreNanos;
   GroupsFiltered += Other.GroupsFiltered;
@@ -433,8 +435,8 @@ double CandidateStore::scoreRecord(const Record &R, const Group &G,
   F.ReplacementLen = R.ReplacementLen;
   F.AvgStackSize = G.AvgStack;
   F.NumParents = G.NumParentsBase + R.ParentDelta;
-  auto It = PathCounts.find(G.PathHash);
-  F.PathCount = It == PathCounts.end() ? 0 : It->second;
+  const uint32_t *Count = PathCounts.find(G.PathHash);
+  F.PathCount = Count ? *Count : 0;
   return heuristicScore(F, Heur);
 }
 
@@ -490,9 +492,8 @@ void CandidateStore::rescoreCompact(const BranchCoverageMap &VBr,
     }
     int64_t Varying = static_cast<int64_t>(G.Branches.size());
     if (Heur.PathNovelty) {
-      auto It = PathCounts.find(G.PathHash);
-      if (It != PathCounts.end())
-        Varying -= std::min<uint32_t>(It->second, 24);
+      if (const uint32_t *Count = PathCounts.find(G.PathHash))
+        Varying -= std::min<uint32_t>(*Count, 24);
     }
     int64_t Change = Varying - G.Varying;
     GroupDelta[Id] = G.Dirty || !SameTerms || !isHalfInteger(G.AvgStack) ||
@@ -558,8 +559,8 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
       F.ReplacementLen = C.ReplacementLen;
       F.AvgStackSize = C.AvgStack;
       F.NumParents = C.NumParents;
-      auto It = PathCounts.find(C.PathHash);
-      F.PathCount = It == PathCounts.end() ? 0 : It->second;
+      const uint32_t *Count = PathCounts.find(C.PathHash);
+      F.PathCount = Count ? *Count : 0;
       C.Score = heuristicScore(F, Heur);
     }
     if (RefQueue.size() > MaxQueue) {

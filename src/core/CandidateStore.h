@@ -62,19 +62,20 @@
 #include "core/BranchCoverageMap.h"
 #include "core/Heuristic.h"
 #include "support/ByteArena.h"
+#include "support/FlatHash.h"
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace pfuzz {
 
 /// How often each parse path was taken; owned by the campaign (which
-/// also decays it), read by the store's rescore pass.
-using PathCountMap = std::unordered_map<uint64_t, uint32_t>;
+/// also decays it), read by the store's rescore pass through point
+/// lookups only.
+using PathCountMap = FlatHashMap<uint32_t>;
 
 /// Diagnostic counters of the candidate store. Purely observational:
 /// none feed back into the search, so they can vary while the FuzzReport
@@ -84,6 +85,10 @@ using PathCountMap = std::unordered_map<uint64_t, uint32_t>;
 struct QueueStats {
   /// Candidates pushed into the queue (substitutions + requeues).
   uint64_t Pushes = 0;
+  /// Substitution candidates the campaign dropped before pushing because
+  /// an identical input was enqueued earlier (the seen-candidate dedup).
+  /// Migrated candidates count their rejects in ShardStats instead.
+  uint64_t DuplicateCandidates = 0;
   /// Full rescore passes over the queue.
   uint64_t Rescores = 0;
   /// Wall time spent inside rescore passes.

@@ -7,6 +7,7 @@
 #include "core/PFuzzer.h"
 
 #include "core/ShardSync.h"
+#include "support/FlatHash.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 
@@ -15,8 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace pfuzz;
 
@@ -83,13 +82,13 @@ public:
     if (Capacity == 0)
       return nullptr;
     ++Lookups;
-    auto It = Index.find(Hash);
-    if (It == Index.end())
+    const uint32_t *Idx = Index.find(Hash);
+    if (Idx == nullptr)
       return nullptr;
-    Entry &E = Entries[It->second];
+    Entry &E = Entries[*Idx];
     if (E.Input != Input)
       return nullptr; // hash collision: treat as a miss
-    touch(It->second);
+    touch(*Idx);
     ++Hits;
     return &E.Result;
   }
@@ -107,16 +106,17 @@ public:
   void insert(uint64_t H, std::string_view Input, const RunResult &RR) {
     if (Capacity == 0)
       return;
-    auto It = Index.find(H);
-    if (It == Index.end() && Doorkeeper.insert(H).second)
+    const uint32_t *Found = Index.find(H);
+    if (Found == nullptr && Doorkeeper.insert(H))
       return; // first sighting: note the hash, defer the copy
-    if (It != Index.end()) {
+    if (Found != nullptr) {
       // Hash already present (same input again, or a collision with a
       // different input): the slot adopts the newer run.
-      Entry &E = Entries[It->second];
+      uint32_t Idx = *Found;
+      Entry &E = Entries[Idx];
       E.Input.assign(Input);
       E.Result.assignFrom(RR);
-      touch(It->second);
+      touch(Idx);
       return;
     }
     uint32_t Idx;
@@ -133,7 +133,7 @@ public:
     E.Hash = H;
     E.Input.assign(Input);
     E.Result.assignFrom(RR);
-    Index.emplace(H, Idx);
+    Index[H] = Idx;
   }
 
 private:
@@ -179,10 +179,12 @@ private:
 
   uint32_t Capacity;
   std::vector<Entry> Entries;
-  std::unordered_map<uint64_t, uint32_t> Index;
+  /// Input hash -> entry; erased on eviction.
+  FlatHashMap<uint32_t> Index;
   /// Hashes of every input ever executed; grows with the campaign like
-  /// the fuzzer's own Enqueued set (8 bytes per distinct input).
-  std::unordered_set<uint64_t> Doorkeeper;
+  /// the fuzzer's own Enqueued set (one 8-byte slot per distinct input,
+  /// at most half the slots in use).
+  FlatHashSet Doorkeeper;
   uint32_t Head = None;
   uint32_t Tail = None;
 };
@@ -312,20 +314,18 @@ private:
         std::max<uint64_t>(Store.Stats.PeakPathTable, PathCounts.size());
     if (PathCounts.size() <= Config.MaxQueue)
       return;
-    for (auto It = PathCounts.begin(); It != PathCounts.end();) {
-      It->second /= 2;
-      if (It->second == 0)
-        It = PathCounts.erase(It);
-      else
-        ++It;
-    }
+    // Each entry's fate depends only on its own count, so the table's
+    // visit order cannot change the result.
+    PathCounts.filter(
+        [](uint64_t, uint32_t &Count) { return (Count /= 2) != 0; });
     ++Store.Stats.PathDecays;
   }
 
-  /// The possible replacement strings a comparison admits. \p RR owns the
-  /// arena the event's operand slices resolve against.
-  std::vector<std::string> expansions(const RunResult &RR,
-                                      const ComparisonEvent &E);
+  /// Fills ExpansionScratch with the possible replacement strings a
+  /// comparison admits. The views point into \p RR's arena (which the
+  /// event's operand slices resolve against) or into a static table of
+  /// all byte values, so they stay valid while \p RR does.
+  void expansions(const RunResult &RR, const ComparisonEvent &E);
 
   /// Push-time candidate score; the store's rescore pass recomputes the
   /// same features through the same heuristicScore overload, so a
@@ -339,8 +339,8 @@ private:
     F.ReplacementLen = static_cast<uint32_t>(ReplacementLen);
     F.AvgStackSize = AvgStack;
     F.NumParents = NumParents;
-    auto It = PathCounts.find(PathHash);
-    F.PathCount = It == PathCounts.end() ? 0 : It->second;
+    const uint32_t *Count = PathCounts.find(PathHash);
+    F.PathCount = Count ? *Count : 0;
     return heuristicScore(F, Heur);
   }
 
@@ -384,13 +384,13 @@ private:
   /// runCheck/computeStats/rescoreQueue are the campaign's hottest code.
   BranchCoverageMap &VBr = Report.ValidBranches;
   /// Per-path execution counts, bounded by notePath's decay.
-  std::unordered_map<uint64_t, uint32_t> PathCounts;
+  PathCountMap PathCounts;
   /// Seen-candidate dedup keyed by 64-bit input hash instead of the input
   /// bytes. A colliding hash drops a genuinely new candidate; tolerated —
   /// at ~1e5 live entries the odds are ~1e-9 per insert, the search is
-  /// redundant by design, and the set costs 8 bytes per entry instead of
-  /// a stored string.
-  std::unordered_set<uint64_t> Enqueued;
+  /// redundant by design, and the set costs one 8-byte slot (at most
+  /// half of them in use) per entry instead of a stored string.
+  FlatHashSet Enqueued;
   /// Memoized bare runs; see PFuzzerOptions::RunCacheSize.
   RunCache Cache;
   /// The candidate priority queue (max-heap by score): compact
@@ -407,7 +407,7 @@ private:
   /// bytes per entry instead of a stored string. A colliding hash merges
   /// two prefixes' retry counters; tolerated for the same reason as the
   /// Enqueued set above.
-  std::unordered_map<uint64_t, uint32_t> RequeueCounts;
+  FlatHashMap<uint32_t> RequeueCounts;
   uint64_t LastRescore = 0;
   /// Reusable scratch for per-run distinct-branch extraction; cleared,
   /// never reallocated, on each execution.
@@ -420,6 +420,11 @@ private:
   /// PrefixHashes[i] hashes the first i bytes, so a candidate's hash is
   /// extendHash(PrefixHashes[SpliceAt], Rep) — no string is built.
   std::vector<uint64_t> PrefixHashes;
+  /// expansions()' output, refilled per comparison event.
+  std::vector<std::string_view> ExpansionScratch;
+  /// The extension input Input + randomChar() of the current iteration;
+  /// reused, so building it allocates only when the input outgrows it.
+  std::string ExtScratch;
   /// Shard-sync endpoint, or null when this campaign is unsharded.
   ShardEndpoint *Sync = nullptr;
   /// Epoch boundaries crossed so far (== packets published).
@@ -473,7 +478,9 @@ FuzzReport Campaign::run() {
         Store.releaseRun(Stats.Run);
         break;
       }
-      std::string EInp = Input + randomChar(); // line 15
+      std::string &EInp = ExtScratch;
+      EInp.assign(Input);
+      EInp.push_back(randomChar()); // line 15
       uint64_t EHash = hashInput(EInp);
       // Line 9-12: run the extended input; whether it turned out valid or
       // not, its comparisons seed the next substitutions.
@@ -626,17 +633,33 @@ const RunResult *Campaign::runCheck(const std::string &Input, uint64_t Hash,
   return Run;
 }
 
-std::vector<std::string> Campaign::expansions(const RunResult &RR,
-                                              const ComparisonEvent &E) {
+namespace {
+
+/// Every byte value once, so a single-character expansion is a view.
+struct ByteTable {
+  char Bytes[256] = {};
+  constexpr ByteTable() {
+    for (unsigned C = 0; C != 256; ++C)
+      Bytes[C] = static_cast<char>(C);
+  }
+  std::string_view of(unsigned C) const { return {Bytes + C, 1}; }
+};
+
+constexpr ByteTable AllBytes;
+
+} // namespace
+
+void Campaign::expansions(const RunResult &RR, const ComparisonEvent &E) {
   std::string_view Expected = RR.expected(E);
-  std::vector<std::string> Out;
+  std::vector<std::string_view> &Out = ExpansionScratch;
+  Out.clear();
   switch (E.Kind) {
   case CompareKind::CharEq:
-    Out.push_back(std::string(Expected));
+    Out.push_back(Expected);
     break;
   case CompareKind::CharSet:
-    for (char C : Expected)
-      Out.push_back(std::string(1, C));
+    for (size_t I = 0; I != Expected.size(); ++I)
+      Out.push_back(Expected.substr(I, 1));
     break;
   case CompareKind::CharRange: {
     unsigned Lo = static_cast<unsigned char>(Expected[0]);
@@ -648,22 +671,21 @@ std::vector<std::string> Campaign::expansions(const RunResult &RR,
       break;
     if (Hi - Lo + 1 <= 16) {
       for (unsigned C = Lo; C <= Hi; ++C)
-        Out.push_back(std::string(1, static_cast<char>(C)));
+        Out.push_back(AllBytes.of(C));
     } else {
       // Large range: the boundaries plus a deterministic random sample.
-      Out.push_back(std::string(1, static_cast<char>(Lo)));
-      Out.push_back(std::string(1, static_cast<char>(Hi)));
+      Out.push_back(AllBytes.of(Lo));
+      Out.push_back(AllBytes.of(Hi));
       for (int I = 0; I < 6; ++I)
-        Out.push_back(std::string(
-            1, static_cast<char>(Lo + R.below(Hi - Lo + 1))));
+        Out.push_back(
+            AllBytes.of(Lo + static_cast<unsigned>(R.below(Hi - Lo + 1))));
     }
     break;
   }
   case CompareKind::StrEq:
-    Out.push_back(std::string(Expected));
+    Out.push_back(Expected);
     break;
   }
-  return Out;
 }
 
 Campaign::RunStats Campaign::computeStats(const RunResult &RR,
@@ -753,7 +775,10 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
         E.Kind != CompareKind::StrEq)
       continue;
     size_t SpliceAt = std::min<size_t>(E.Taint.minIndex(), Input.size());
-    for (std::string &Rep : expansions(RR, E)) {
+    // All of this event's expansions are drawn (and the RNG advanced)
+    // before any candidate is pushed.
+    expansions(RR, E);
+    for (std::string_view Rep : ExpansionScratch) {
       // The candidate is Input[0, SpliceAt) + Rep; compare and hash it
       // against the parent in place.
       size_t NewLen = SpliceAt + Rep.size();
@@ -765,8 +790,10 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
       // key later: the hash rides on the record instead of being
       // recomputed at pop time.
       uint64_t Hash = extendHash(PrefixHashes[SpliceAt], Rep);
-      if (!Enqueued.insert(Hash).second)
+      if (!Enqueued.insert(Hash)) {
+        ++Store.Stats.DuplicateCandidates;
         continue;
+      }
       double Score =
           scoreCandidate(Stats.NewBranchCount, NewLen, Rep.size(),
                          Stats.AvgStack, ParentCount + 1, Stats.PathHash);
@@ -858,7 +885,7 @@ void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
   if (!P.HasCandidate)
     return;
   if (!Alive || P.CandidateBytes.size() > Opts.MaxInputLen ||
-      !Enqueued.insert(P.CandidateHash).second) {
+      !Enqueued.insert(P.CandidateHash)) {
     // Already enqueued here (or previously migrated in), oversize, or
     // arriving after this campaign's budget ended.
     ++Sync->Stats.MigrationsRejected;

@@ -326,8 +326,8 @@ struct StoreScript {
     F.ReplacementLen = ReplacementLen;
     F.AvgStackSize = Run.AvgStack;
     F.NumParents = Run.NumParentsBase + ParentDelta;
-    auto It = PathCounts.find(Run.PathHash);
-    F.PathCount = It == PathCounts.end() ? 0 : It->second;
+    const uint32_t *Count = PathCounts.find(Run.PathHash);
+    F.PathCount = Count ? *Count : 0;
     double Score = heuristicScore(F, Heur) - static_cast<double>(R.below(4));
     uint64_t Hash = R.next();
     for (size_t I = 0; I != Stores.size(); ++I)
@@ -357,10 +357,8 @@ struct StoreScript {
   }
 
   void decayPaths() {
-    for (auto It = PathCounts.begin(); It != PathCounts.end();) {
-      It->second /= 2;
-      It = It->second == 0 ? PathCounts.erase(It) : std::next(It);
-    }
+    PathCounts.filter(
+        [](uint64_t, uint32_t &Count) { return (Count /= 2) != 0; });
   }
 
   void rescore() {

@@ -34,6 +34,7 @@ struct RunWithStats {
 struct RunConfig {
   uint32_t Shards = 1;
   uint32_t ResumeCache = 0;
+  uint32_t RunCache = PFuzzerOptions().RunCacheSize;
 };
 
 RunWithStats runInstrumented(const Subject &S, uint64_t Execs, uint64_t Seed,
@@ -44,6 +45,7 @@ RunWithStats runInstrumented(const Subject &S, uint64_t Execs, uint64_t Seed,
   PFuzzerOptions Options;
   Options.Shards = C.Shards;
   Options.ResumeCacheSize = C.ResumeCache;
+  Options.RunCacheSize = C.RunCache;
   if (WithTelemetry)
     Options.TelemetryOut = &Out.Telemetry;
   Options.Heartbeat = Heartbeat;
@@ -119,6 +121,25 @@ TEST(PFuzzerTelemetryTest, ShardedSnapshotAggregatesShardLoops) {
   EXPECT_EQ(Sh.DeltasPublished, Sh.DeltasMerged);
   EXPECT_EQ(Sh.MigrationsAccepted + Sh.MigrationsRejected,
             Sh.MigrationsOffered);
+}
+
+TEST(PFuzzerTelemetryTest, DuplicateCandidatesIndependentOfReplayLayers) {
+  // The dedup drops a large share of the substitution candidates on json,
+  // and the count is a property of the search alone: the run cache and
+  // prefix resumption replay runs without changing what is generated.
+  RunWithStats Plain = runInstrumented(jsonSubject(), 6000, 3, {});
+  EXPECT_GT(Plain.Telemetry.Queue.DuplicateCandidates, 0u);
+  RunConfig NoCache;
+  NoCache.RunCache = 0;
+  RunConfig Resuming;
+  Resuming.ResumeCache = 64;
+  for (const RunConfig &C : {NoCache, Resuming}) {
+    RunWithStats Other = runInstrumented(jsonSubject(), 6000, 3, C);
+    expectIdenticalReports(Plain.Report, Other.Report);
+    EXPECT_EQ(Other.Telemetry.Queue.DuplicateCandidates,
+              Plain.Telemetry.Queue.DuplicateCandidates);
+    EXPECT_EQ(Other.Telemetry.Queue.Pushes, Plain.Telemetry.Queue.Pushes);
+  }
 }
 
 TEST(PFuzzerTelemetryTest, CampaignRunnerAggregatesSeedSnapshots) {
