@@ -179,7 +179,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "candidate store: %llu pushes (%llu duplicate candidates"
                  " dropped), %llu rescores (%.1f ms,"
-                 " %llu group slices), %llu trims (%llu dropped),"
+                 " %llu group slices), %llu ticks (%llu resettles),"
+                 " %llu trims (%llu dropped),"
                  " %llu compactions (%llu bytes reclaimed),"
                  " %llu path decays\n",
                  static_cast<unsigned long long>(Q.Pushes),
@@ -187,6 +188,8 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Q.Rescores),
                  static_cast<double>(Q.RescoreNanos) / 1e6,
                  static_cast<unsigned long long>(Q.GroupsFiltered),
+                 static_cast<unsigned long long>(Q.Ticks),
+                 static_cast<unsigned long long>(Q.Resettles),
                  static_cast<unsigned long long>(Q.Trims),
                  static_cast<unsigned long long>(Q.TrimmedCandidates),
                  static_cast<unsigned long long>(Q.Compactions),

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <unordered_map>
@@ -21,18 +20,18 @@ using namespace pfuzz;
 
 namespace {
 
-/// Score-only comparators — the single comparator property the
-/// determinism argument rests on: for equal scores they return exactly
-/// what the by-value queue's comparator returned, so every positional
-/// heap algorithm produces the same permutation.
-struct EntryScoreLess {
+/// The queue's total order, shared by both storage modes: the higher
+/// score first, ties to the newer push. No two entries compare equal, so
+/// which entry pops next and which survive a trim are functions of the
+/// scores and sequences alone, never of a heap layout.
+struct EntryLess {
   template <typename T> bool operator()(const T &A, const T &B) const {
-    return A.Score < B.Score;
+    return A.Score < B.Score || (A.Score == B.Score && A.Seq < B.Seq);
   }
 };
-struct EntryScoreGreater {
+struct EntryGreater {
   template <typename T> bool operator()(const T &A, const T &B) const {
-    return A.Score > B.Score;
+    return EntryLess()(B, A);
   }
 };
 
@@ -43,6 +42,8 @@ void QueueStats::accumulate(const QueueStats &Other) {
   DuplicateCandidates += Other.DuplicateCandidates;
   Rescores += Other.Rescores;
   RescoreNanos += Other.RescoreNanos;
+  Ticks += Other.Ticks;
+  Resettles += Other.Resettles;
   GroupsFiltered += Other.GroupsFiltered;
   Trims += Other.Trims;
   TrimmedCandidates += Other.TrimmedCandidates;
@@ -56,8 +57,12 @@ void QueueStats::accumulate(const QueueStats &Other) {
   PeakPathTable = std::max(PeakPathTable, Other.PeakPathTable);
 }
 
-CandidateStore::CandidateStore(bool Reference, size_t MaxQueue)
-    : Reference(Reference), MaxQueue(MaxQueue) {}
+CandidateStore::CandidateStore(bool Reference, size_t MaxQueue,
+                               const BranchCoverageMap &VBr,
+                               const PathCountMap &PathCounts,
+                               const HeuristicOptions &Heur)
+    : Reference(Reference), MaxQueue(MaxQueue), VBr(VBr),
+      PathCounts(PathCounts), Heur(Heur) {}
 
 CandidateStore::~CandidateStore() = default;
 
@@ -114,9 +119,7 @@ uint32_t CandidateStore::allocGroup() {
   G.AvgStack = 0;
   G.NumParentsBase = 0;
   G.Members = 0;
-  G.Varying = 0;
   G.RunPinned = false;
-  G.Dirty = true;
   ++LiveGroups;
   return Id;
 }
@@ -266,9 +269,27 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
                           std::string_view Suffix, uint64_t Hash,
                           uint32_t ReplacementLen, uint32_t ParentDelta,
                           double Score) {
+  enqueue(Run, Parent, ParentInput, SpliceAt, Suffix, Hash, ReplacementLen,
+          ParentDelta, Score, /*Requeue=*/false);
+}
+
+void CandidateStore::pushRequeue(uint32_t Run, uint32_t Parent,
+                                 std::string_view Input, uint64_t Hash,
+                                 double Score) {
+  enqueue(Run, Parent, Input, Input.size(), std::string_view(), Hash,
+          /*ReplacementLen=*/1, /*ParentDelta=*/0, Score, /*Requeue=*/true);
+}
+
+void CandidateStore::enqueue(uint32_t Run, uint32_t Parent,
+                             std::string_view ParentInput, size_t SpliceAt,
+                             std::string_view Suffix, uint64_t Hash,
+                             uint32_t ReplacementLen, uint32_t ParentDelta,
+                             double Score, bool Requeue) {
   ++Stats.Pushes;
   Group &G = Groups[Run];
   if (Reference) {
+    // The eager queue holds a requeue in its one heap at the penalized
+    // score until the next tick re-scores it.
     RefCandidate C;
     C.Input.reserve(SpliceAt + Suffix.size());
     C.Input.assign(ParentInput.substr(0, SpliceAt));
@@ -281,8 +302,9 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
     C.PathHash = G.PathHash;
     C.InputHash = Hash;
     C.Score = Score;
+    C.Seq = PushTick;
     RefQueue.push_back(std::move(C));
-    std::push_heap(RefQueue.begin(), RefQueue.end(), EntryScoreLess());
+    std::push_heap(RefQueue.begin(), RefQueue.end(), EntryLess());
   } else {
     if (Parent != None)
       maybeRebase(Parent, ParentInput);
@@ -305,24 +327,32 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
     R.SuffixLen = static_cast<uint32_t>(Suffix.size());
     R.Group = Run;
     ++G.Members;
-    G.Dirty = true; // Score is a push-time score, not the formula
     R.Refs = 1; // the queue entry's pin; pop transfers it to the caller
     // Replacements are comparison operands (single chars or string-equality
     // literals); 64 KiB headroom is far beyond any grammar token, and the
     // identity sweep would flag a truncation as a score divergence.
     R.ReplacementLen = static_cast<uint16_t>(ReplacementLen);
     R.ParentDelta = static_cast<uint8_t>(ParentDelta);
-    // The caller trims past MaxQueue, so the heap never outgrows
-    // MaxQueue + 1 entries — clamp growth there instead of letting the
-    // final doubling overshoot the cap by nearly 2x.
-    if (Entries.size() == Entries.capacity())
-      Entries.reserve(std::min(MaxQueue + 1, Entries.capacity() +
-                                                 Entries.capacity() / 4 + 64));
-    Entries.push_back(Entry{Score, Id, Run});
-    std::push_heap(Entries.begin(), Entries.end(), EntryScoreLess());
+    if (NextSeq == UINT32_MAX)
+      renumberSequences();
+    Entry E{Score, Id, NextSeq++};
+    std::vector<Entry> &Heap = Requeue ? Requeues : Entries;
+    if (!Requeue)
+      reserveEntry();
+    Heap.push_back(E);
+    std::push_heap(Heap.begin(), Heap.end(), EntryLess());
   }
   if ((++PushTick & 1023) == 0)
     samplePeaks();
+}
+
+void CandidateStore::reserveEntry() {
+  // The caller trims past MaxQueue, so the heap never outgrows
+  // MaxQueue + 1 entries — clamp growth there instead of letting the
+  // final doubling overshoot the cap by nearly 2x.
+  if (Entries.size() == Entries.capacity())
+    Entries.reserve(std::min(MaxQueue + 1, Entries.capacity() +
+                                               Entries.capacity() / 4 + 64));
 }
 
 void CandidateStore::materialize(uint32_t Id, std::string &Out) const {
@@ -349,10 +379,63 @@ void CandidateStore::materialize(uint32_t Id, std::string &Out) const {
   }
 }
 
+double CandidateStore::scoreEntry(uint32_t Id) {
+  const Record &R = Records[Id];
+  Group &G = Groups[R.Group];
+  // Filter the group's list once per coverage change, in place; vBr
+  // moves only at ticks, so every member scored in one window sees the
+  // same list.
+  if (G.FilterEpoch != VBr.epoch()) {
+    if (!G.Branches.empty()) {
+      size_t Kept = 0;
+      for (uint32_t B : G.Branches)
+        if (!VBr.test(B))
+          G.Branches[Kept++] = B;
+      G.Branches.resize(Kept);
+      ++Stats.GroupsFiltered;
+    }
+    G.FilterEpoch = VBr.epoch();
+  }
+  CandidateFeatures F;
+  F.NewBranches = static_cast<uint32_t>(G.Branches.size());
+  F.InputLen = R.SpliceAt + R.SuffixLen;
+  F.ReplacementLen = R.ReplacementLen;
+  F.AvgStackSize = G.AvgStack;
+  F.NumParents = G.NumParentsBase + R.ParentDelta;
+  const uint32_t *Count = PathCounts.find(G.PathHash);
+  F.PathCount = Count ? *Count : 0;
+  return heuristicScore(F, Heur);
+}
+
+std::vector<CandidateStore::Entry> &CandidateStore::settledHeap() {
+  // Minoux's lazy greedy. A main-heap entry pushed before the last tick
+  // stores an upper bound of its tick-state score, so once the top's
+  // fresh score equals its stored one, no other entry can come first.
+  // Otherwise the top re-enters at its fresh score — keeping its push
+  // sequence, so ties still break newest-first — and the next top is
+  // tried. Entries pushed since the tick hold exact push-time scores.
+  while (!Entries.empty() && Entries.front().Seq < TickSeq) {
+    double Fresh = scoreEntry(Entries.front().Id);
+    assert(Fresh <= Entries.front().Score &&
+           "a stored score fell below its tick-state score");
+    if (Fresh == Entries.front().Score)
+      break;
+    std::pop_heap(Entries.begin(), Entries.end(), EntryLess());
+    Entries.back().Score = Fresh;
+    std::push_heap(Entries.begin(), Entries.end(), EntryLess());
+    ++Stats.Resettles;
+  }
+  // This window's requeues compete at their exact penalized scores.
+  if (Entries.empty() ||
+      (!Requeues.empty() && EntryLess()(Entries.front(), Requeues.front())))
+    return Requeues;
+  return Entries;
+}
+
 CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
   Popped P;
   if (Reference) {
-    std::pop_heap(RefQueue.begin(), RefQueue.end(), EntryScoreLess());
+    std::pop_heap(RefQueue.begin(), RefQueue.end(), EntryLess());
     RefCandidate &Best = RefQueue.back();
     P.Score = Best.Score;
     P.InputHash = Best.InputHash;
@@ -364,9 +447,10 @@ CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
     RefQueue.pop_back();
     return P;
   }
-  std::pop_heap(Entries.begin(), Entries.end(), EntryScoreLess());
-  Entry E = Entries.back();
-  Entries.pop_back();
+  std::vector<Entry> &Heap = settledHeap();
+  std::pop_heap(Heap.begin(), Heap.end(), EntryLess());
+  Entry E = Heap.back();
+  Heap.pop_back();
   Record &R = Records[E.Id];
   Group &G = Groups[R.Group];
   P.Id = E.Id;
@@ -384,21 +468,12 @@ CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
 }
 
 size_t CandidateStore::queueSize() const {
-  return Reference ? RefQueue.size() : Entries.size();
+  return Reference ? RefQueue.size() : Entries.size() + Requeues.size();
 }
 
-double CandidateStore::scoreAt(size_t Pos) const {
-  return Reference ? RefQueue[Pos].Score : Entries[Pos].Score;
-}
-
-uint64_t CandidateStore::hashAt(size_t Pos) const {
-  return Reference ? RefQueue[Pos].InputHash
-                   : Records[Entries[Pos].Id].InputHash;
-}
-
-void CandidateStore::exportAt(size_t Pos, Exported &Out) const {
+void CandidateStore::exportTop(Exported &Out) {
   if (Reference) {
-    const RefCandidate &C = RefQueue[Pos];
+    const RefCandidate &C = RefQueue.front();
     Out.Bytes = C.Input;
     Out.Hash = C.InputHash;
     if (C.NewBranches)
@@ -411,9 +486,10 @@ void CandidateStore::exportAt(size_t Pos, Exported &Out) const {
     Out.ReplacementLen = C.ReplacementLen;
     return;
   }
-  const Record &R = Records[Entries[Pos].Id];
+  uint32_t Id = settledHeap().front().Id;
+  const Record &R = Records[Id];
   const Group &G = Groups[R.Group];
-  materialize(Entries[Pos].Id, Out.Bytes);
+  materialize(Id, Out.Bytes);
   Out.Hash = R.InputHash;
   Out.Branches = G.Branches;
   Out.AvgStack = G.AvgStack;
@@ -422,167 +498,129 @@ void CandidateStore::exportAt(size_t Pos, Exported &Out) const {
   Out.ReplacementLen = R.ReplacementLen;
 }
 
-//===----------------------------------------------------------------------===//
-// Rescore
-//===----------------------------------------------------------------------===//
-
-double CandidateStore::scoreRecord(const Record &R, const Group &G,
-                                   const PathCountMap &PathCounts,
-                                   const HeuristicOptions &Heur) const {
-  CandidateFeatures F;
-  F.NewBranches = static_cast<uint32_t>(G.Branches.size());
-  F.InputLen = R.SpliceAt + R.SuffixLen;
-  F.ReplacementLen = R.ReplacementLen;
-  F.AvgStackSize = G.AvgStack;
-  F.NumParents = G.NumParentsBase + R.ParentDelta;
-  const uint32_t *Count = PathCounts.find(G.PathHash);
-  F.PathCount = Count ? *Count : 0;
-  return heuristicScore(F, Heur);
+void CandidateStore::renumberSequences() {
+  if (Reference)
+    return; // 64-bit sequences
+  // Rank every live sequence: order-preserving, so every comparison —
+  // hence heap validity and pop order — is unchanged. TickSeq maps to
+  // the count of sequences below it, keeping each entry on its side.
+  std::vector<uint32_t> Seqs;
+  Seqs.reserve(queueSize());
+  for (const Entry &E : Entries)
+    Seqs.push_back(E.Seq);
+  for (const Entry &E : Requeues)
+    Seqs.push_back(E.Seq);
+  std::sort(Seqs.begin(), Seqs.end());
+  auto Rank = [&Seqs](uint32_t Seq) {
+    return static_cast<uint32_t>(
+        std::lower_bound(Seqs.begin(), Seqs.end(), Seq) - Seqs.begin());
+  };
+  for (Entry &E : Entries)
+    E.Seq = Rank(E.Seq);
+  for (Entry &E : Requeues)
+    E.Seq = Rank(E.Seq);
+  TickSeq = Rank(TickSeq);
+  NextSeq = static_cast<uint32_t>(Seqs.size());
 }
 
-namespace {
+//===----------------------------------------------------------------------===//
+// Ticks and full passes
+//===----------------------------------------------------------------------===//
 
-/// GroupDelta marker: recompute the group's members in full.
-constexpr int16_t FullRescore = INT16_MIN;
-
-/// True when \p V is a multiple of one half small enough that every sum
-/// of it with uint32 terms is exact in a double.
-bool isHalfInteger(double V) {
-  double Twice = V * 2;
-  return std::fabs(Twice) < 0x1p40 && Twice == std::floor(Twice);
-}
-
-} // namespace
-
-void CandidateStore::rescoreCompact(const BranchCoverageMap &VBr,
-                                    const PathCountMap &PathCounts,
-                                    const HeuristicOptions &Heur) {
-  // Delta rescoring. A score is a per-group part that a rescore can move
-  // (the filtered branch count and the path-novelty penalty, Varying)
-  // plus terms fixed at push. Pass 1 visits each live group once: it
-  // filters the list in place (the group's filter epoch is the memo, as
-  // before; see the header for why in-place filtering equals
-  // copy-on-rescore), looks up its path count once, and records how much
-  // Varying moved. Pass 2 walks the heap array sequentially adding that
-  // change to every entry. All score terms are integers or half-integers
-  // far below 2^53, so old + change is exactly the full recompute.
-  // Members of dirty groups hold push-time scores, not the formula, and
-  // are recomputed in full, as is everything after a switch change.
+void CandidateStore::rescoreRef() {
+  // The eager queue re-scores every candidate. vBr only grows, so each
+  // candidate's not-yet-covered list only shrinks. Candidates spawned
+  // from the same run share one immutable list, so filter each distinct
+  // list once (copy-on-rescore) and hand the filtered copy back to every
+  // sharer; the epoch check skips even that when coverage has not grown
+  // since the list was built.
   uint64_t Now = VBr.epoch();
-  bool SameTerms = Heur == LastHeur;
-  LastHeur = Heur;
-  if (GroupDelta.size() < Groups.size()) {
-    GroupDelta.reserve(Groups.capacity()); // the slab's 1.25x, not 2x
-    GroupDelta.resize(Groups.size());
-  }
-  for (size_t Id = 0, N = Groups.size(); Id != N; ++Id) {
-    Group &G = Groups[Id];
-    if (G.Members == 0)
-      continue; // free, or a run handle with nothing queued
-    if (G.FilterEpoch != Now) {
-      if (!G.Branches.empty()) {
-        size_t Kept = 0;
-        for (uint32_t B : G.Branches)
+  struct FilterEntry {
+    SharedBranches Original; // pins the key's address for this pass
+    SharedBranches Replacement;
+  };
+  std::unordered_map<const void *, FilterEntry> Filtered;
+  for (RefCandidate &C : RefQueue) {
+    if (C.NewBranches && !C.NewBranches->empty() && C.FilterEpoch != Now) {
+      FilterEntry &Slot = Filtered[C.NewBranches.get()];
+      if (!Slot.Replacement) {
+        Slot.Original = C.NewBranches;
+        auto Kept = std::make_shared<std::vector<uint32_t>>();
+        Kept->reserve(C.NewBranches->size());
+        for (uint32_t B : *C.NewBranches)
           if (!VBr.test(B))
-            G.Branches[Kept++] = B;
-        G.Branches.resize(Kept);
+            Kept->push_back(B);
+        Slot.Replacement = std::move(Kept);
         ++Stats.GroupsFiltered;
       }
-      G.FilterEpoch = Now;
+      C.NewBranches = Slot.Replacement;
     }
-    int64_t Varying = static_cast<int64_t>(G.Branches.size());
-    if (Heur.PathNovelty) {
-      if (const uint32_t *Count = PathCounts.find(G.PathHash))
-        Varying -= std::min<uint32_t>(*Count, 24);
-    }
-    int64_t Change = Varying - G.Varying;
-    GroupDelta[Id] = G.Dirty || !SameTerms || !isHalfInteger(G.AvgStack) ||
-                             Change <= FullRescore || Change > INT16_MAX
-                         ? FullRescore
-                         : static_cast<int16_t>(Change);
-    G.Varying = static_cast<int32_t>(Varying);
-    G.Dirty = false;
-  }
-  for (Entry &E : Entries) {
-    assert(E.Group == Records[E.Id].Group && "entry lost its group");
-    int16_t Change = GroupDelta[E.Group];
-    if (Change == FullRescore) {
-      E.Score = scoreRecord(Records[E.Id], Groups[E.Group], PathCounts, Heur);
-      continue;
-    }
-    E.Score += Change;
-    assert(E.Score ==
-               scoreRecord(Records[E.Id], Groups[E.Group], PathCounts, Heur) &&
-           "delta rescore diverged from the full recompute");
+    C.FilterEpoch = Now;
+    CandidateFeatures F;
+    F.NewBranches =
+        C.NewBranches ? static_cast<uint32_t>(C.NewBranches->size()) : 0;
+    F.InputLen = static_cast<uint32_t>(C.Input.size());
+    F.ReplacementLen = C.ReplacementLen;
+    F.AvgStackSize = C.AvgStack;
+    F.NumParents = C.NumParents;
+    const uint32_t *Count = PathCounts.find(C.PathHash);
+    F.PathCount = Count ? *Count : 0;
+    C.Score = heuristicScore(F, Heur);
   }
 }
 
-bool CandidateStore::rescore(const BranchCoverageMap &VBr,
-                             const PathCountMap &PathCounts,
-                             const HeuristicOptions &Heur) {
+void CandidateStore::tick() {
+  ++Stats.Ticks;
+  if (Reference) {
+    rescoreRef();
+    std::make_heap(RefQueue.begin(), RefQueue.end(), EntryLess());
+    return;
+  }
+  // The penalty of this window's requeues ends here; at their formula
+  // score they are upper bounds like every other main-heap entry. Every
+  // entry pushed so far now settles against the new tick state.
+  for (Entry E : Requeues) {
+    E.Score = scoreEntry(E.Id);
+    reserveEntry();
+    Entries.push_back(E);
+    std::push_heap(Entries.begin(), Entries.end(), EntryLess());
+  }
+  Requeues.clear();
+  TickSeq = NextSeq;
+}
+
+bool CandidateStore::rescore() {
   auto Begin = std::chrono::steady_clock::now();
   ++Stats.Rescores;
   bool Trimmed = false;
-  uint64_t Now = VBr.epoch();
   if (Reference) {
-    // The pre-store pass, verbatim: vBr only grows, so each candidate's
-    // not-yet-covered list only shrinks. Candidates spawned from the same
-    // run share one immutable list, so filter each distinct list once
-    // (copy-on-rescore) and hand the filtered copy back to every sharer;
-    // the epoch check skips even that when coverage has not grown since
-    // the list was built.
-    struct FilterEntry {
-      SharedBranches Original; // pins the key's address for this pass
-      SharedBranches Replacement;
-    };
-    std::unordered_map<const void *, FilterEntry> Filtered;
-    for (RefCandidate &C : RefQueue) {
-      if (C.NewBranches && !C.NewBranches->empty() && C.FilterEpoch != Now) {
-        FilterEntry &Slot = Filtered[C.NewBranches.get()];
-        if (!Slot.Replacement) {
-          Slot.Original = C.NewBranches;
-          auto Kept = std::make_shared<std::vector<uint32_t>>();
-          Kept->reserve(C.NewBranches->size());
-          for (uint32_t B : *C.NewBranches)
-            if (!VBr.test(B))
-              Kept->push_back(B);
-          Slot.Replacement = std::move(Kept);
-          ++Stats.GroupsFiltered;
-        }
-        C.NewBranches = Slot.Replacement;
-      }
-      C.FilterEpoch = Now;
-      CandidateFeatures F;
-      F.NewBranches =
-          C.NewBranches ? static_cast<uint32_t>(C.NewBranches->size()) : 0;
-      F.InputLen = static_cast<uint32_t>(C.Input.size());
-      F.ReplacementLen = C.ReplacementLen;
-      F.AvgStackSize = C.AvgStack;
-      F.NumParents = C.NumParents;
-      const uint32_t *Count = PathCounts.find(C.PathHash);
-      F.PathCount = Count ? *Count : 0;
-      C.Score = heuristicScore(F, Heur);
-    }
+    rescoreRef();
     if (RefQueue.size() > MaxQueue) {
       TELEMETRY_SPAN("trim");
       std::nth_element(RefQueue.begin(), RefQueue.begin() + MaxQueue / 2,
-                       RefQueue.end(), EntryScoreGreater());
+                       RefQueue.end(), EntryGreater());
       Stats.TrimmedCandidates += RefQueue.size() - MaxQueue / 2;
       ++Stats.Trims;
       RefQueue.resize(MaxQueue / 2);
       Trimmed = true;
     }
-    std::make_heap(RefQueue.begin(), RefQueue.end(), EntryScoreLess());
+    std::make_heap(RefQueue.begin(), RefQueue.end(), EntryLess());
   } else {
-    rescoreCompact(VBr, PathCounts, Heur);
+    for (const Entry &E : Requeues) {
+      reserveEntry();
+      Entries.push_back(E);
+    }
+    Requeues.clear();
+    for (Entry &E : Entries)
+      E.Score = scoreEntry(E.Id);
     if (Entries.size() > MaxQueue) {
       TELEMETRY_SPAN("trim");
-      // Same positional nth_element + resize as the by-value queue; it
-      // sees the same score sequence at the same positions, so the same
-      // candidates survive. The dropped ids release their suffix bytes
-      // and (via the pin cascade) any ancestry nothing else holds.
+      // The total order makes the survivors the MaxQueue / 2 first
+      // candidates, whatever the array layout. The dropped ids release
+      // their suffix bytes and (via the pin cascade) any ancestry nothing
+      // else holds.
       std::nth_element(Entries.begin(), Entries.begin() + MaxQueue / 2,
-                       Entries.end(), EntryScoreGreater());
+                       Entries.end(), EntryGreater());
       for (size_t I = MaxQueue / 2, N = Entries.size(); I < N; ++I)
         release(Entries[I].Id);
       Stats.TrimmedCandidates += Entries.size() - MaxQueue / 2;
@@ -591,7 +629,8 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
       Trimmed = true;
       maybeCompactArena();
     }
-    std::make_heap(Entries.begin(), Entries.end(), EntryScoreLess());
+    std::make_heap(Entries.begin(), Entries.end(), EntryLess());
+    TickSeq = NextSeq;
   }
   Stats.RescoreNanos += static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -648,10 +687,9 @@ size_t CandidateStore::bytesInUse() const {
     return Bytes;
   }
   return Records.capacity() * sizeof(Record) +
-         Entries.capacity() * sizeof(Entry) + Arena.capacity() +
-         Groups.capacity() * sizeof(Group) +
-         FreeGroups.capacity() * sizeof(uint32_t) +
-         GroupDelta.capacity() * sizeof(int16_t) + ListBytes;
+         (Entries.capacity() + Requeues.capacity()) * sizeof(Entry) +
+         Arena.capacity() + Groups.capacity() * sizeof(Group) +
+         FreeGroups.capacity() * sizeof(uint32_t) + ListBytes;
 }
 
 size_t CandidateStore::recountBytesInUse() const {

@@ -9,7 +9,7 @@
 /// queued candidate is a 40-byte POD record (parent id, splice point,
 /// suffix slice in a shared byte arena, input hash) instead of an owned
 /// std::string, and the heap itself is an array of 16-byte
-/// (Score, CandidateId) pairs. A candidate's full input bytes exist only
+/// (Score, CandidateId, push sequence) entries. A candidate's full input bytes exist only
 /// on demand — materialize() walks the parent chain and reassembles the
 /// prefix + suffix segments — so queue memory is O(candidates +
 /// distinct-suffix-bytes) instead of O(candidates x input-length), and
@@ -17,42 +17,43 @@
 ///
 /// Records that share one parent run's new-branch list are chained into a
 /// *group* holding the list plus the run-constant heuristic terms
-/// (average stack depth, path hash, parent-chain base). A rescore is
-/// *delta* rescoring: one pass over live groups filters each distinct
-/// list exactly once (the group's filter epoch is the memo), looks up its
-/// path count once and records how much the group's movable score terms
-/// changed; one sequential pass over the heap entries then adds that
-/// change to each score. Members of groups pushed to since the last
-/// rescore are recomputed in full instead — their push-time scores are
-/// not the formula.
+/// (average stack depth, path hash, parent-chain base).
 ///
-/// Determinism contract: the heap uses the exact positional
-/// std::push_heap / std::pop_heap / std::make_heap / std::nth_element
-/// calls and the same score-only comparator as the string-backed queue,
-/// so with identical scores the permutations — and therefore the pop
-/// sequence, trim survivors, and every FuzzReport byte — are identical.
-/// Scores are identical because (a) push-time scores are computed by the
-/// campaign from the run's captured (unfiltered) branch count, exactly
-/// as the string-backed queue scores pushes after a mid-iteration
-/// rescore, (b) in-place group filtering is observationally
-/// equivalent to copy-on-rescore: vBr only grows, so
+/// Scores are settled lazily (Minoux's lazy greedy). The campaign's
+/// scoring inputs — vBr, the path-count table and the heuristic switches
+/// — form the *tick state*, which moves only at tick() and rescore():
+/// between two ticks nothing a stored score depends on changes. A tick is
+/// cheap: it lifts this window's requeued prefixes out of a small side
+/// heap into the main heap at their formula score. pop() and exportTop()
+/// re-score the main heap's top against the tick state and re-push it
+/// while the fresh score is below the stored one. That is exact because
+/// every stored score is an upper bound of the entry's tick-state score:
+/// across ticks branch lists only shrink and path counts only grow, and
+/// push-time scores use the run's capture-time branch count and the live
+/// path counts, which later tick states can only lower. The O(queue)
+/// full pass — recompute every score, trim the worst half past the cap,
+/// rebuild the heap — runs only on queue overflow and path-count decay,
+/// the one event that lowers counts.
+///
+/// Determinism contract: pop order is a function of each candidate's
+/// current score — its push-time score until the next tick, its
+/// tick-state score after — and of push order. Ties break by a total
+/// order — higher score first, then
+/// the newer push (a per-store push sequence, kept across re-pushes and
+/// renumbered order-preservingly before it could wrap) — so the heap
+/// layout never matters: the lazy store pops exactly what an eager queue
+/// that re-scores everything at every tick pops under the same
+/// comparator, and the trim keeps exactly its survivors. In-place group
+/// filtering equals copy-on-rescore because vBr only grows, so
 /// filter(filter(L, vBr1), vBr2) == filter(L, vBr2) whenever vBr1 is a
-/// subset of vBr2 — a list filtered early yields the same count at every
-/// later rescore as the original list filtered late, and (c) delta
-/// rescoring is exact: every score term is an integer or a half-integer
-/// (the average stack is the mean of two integer depths) far below 2^53,
-/// so no operation rounds and old + (new part - old part) equals the
-/// full recompute bit for bit (asserted per entry in !NDEBUG builds).
-/// The pass still ends in the full positional make_heap: libstdc++'s
-/// sift-down permutes tied scores even on a valid heap, so any cheaper
-/// repair would change pop order. See DESIGN.md §14.
+/// subset of vBr2. See DESIGN.md §14.
 ///
-/// Constructed with Reference = true the store instead keeps a faithful
+/// Constructed with Reference = true the store is that eager queue: a
 /// by-value candidate heap (owned std::string + shared_ptr branch list +
-/// copy-on-rescore map — the pre-store implementation, preserved
-/// verbatim) behind the same interface. The identity sweep test runs
-/// both modes and asserts byte-identical reports; the benches use it for
-/// honest before/after memory and throughput numbers.
+/// copy-on-rescore map) that re-scores every candidate at every tick,
+/// behind the same interface. The identity sweep test runs both modes and
+/// asserts byte-identical reports; the benches use it for honest
+/// before/after memory and throughput numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,9 +73,9 @@
 
 namespace pfuzz {
 
-/// How often each parse path was taken; owned by the campaign (which
-/// also decays it), read by the store's rescore pass through point
-/// lookups only.
+/// How often each parse path was taken, as of the last tick; owned by
+/// the campaign (which folds each window's counts in at ticks and decays
+/// it), read by the store through point lookups only.
 using PathCountMap = FlatHashMap<uint32_t>;
 
 /// Diagnostic counters of the candidate store. Purely observational:
@@ -89,12 +90,20 @@ struct QueueStats {
   /// an identical input was enqueued earlier (the seen-candidate dedup).
   /// Migrated candidates count their rejects in ShardStats instead.
   uint64_t DuplicateCandidates = 0;
-  /// Full rescore passes over the queue.
+  /// Full rescore passes over the queue (overflow and path decay).
   uint64_t Rescores = 0;
-  /// Wall time spent inside rescore passes.
+  /// Wall time spent inside full rescore passes.
   uint64_t RescoreNanos = 0;
-  /// Distinct branch lists filtered across all rescores (group slices in
-  /// the compact store, copy-on-rescore map entries in reference mode).
+  /// Ticks: tick-state advances that re-score nothing eagerly (valid
+  /// inputs, every 384 executions, vBr-growing shard merges). Full
+  /// passes are counted in Rescores only.
+  uint64_t Ticks = 0;
+  /// Re-pushes made by the settle loop of pop()/exportTop(): a heap top
+  /// whose tick-state score fell below its stored score (0 in reference
+  /// mode, which re-scores eagerly).
+  uint64_t Resettles = 0;
+  /// Branch lists filtered against grown coverage (group slices in the
+  /// compact store, copy-on-rescore map entries in reference mode).
   uint64_t GroupsFiltered = 0;
   /// Overflow trims (worst-scored half dropped).
   uint64_t Trims = 0;
@@ -144,7 +153,13 @@ public:
     uint32_t NewBranchCount = 0;
   };
 
-  CandidateStore(bool Reference, size_t MaxQueue);
+  /// The store scores against the caller's tick state: \p VBr and
+  /// \p PathCounts are read (never written) at every tick(), rescore(),
+  /// pop() and exportTop(), and must change only right before a tick()
+  /// or rescore() call — see the file comment. The heuristic switches
+  /// \p Heur are copied: they are fixed for the store's lifetime.
+  CandidateStore(bool Reference, size_t MaxQueue, const BranchCoverageMap &VBr,
+                 const PathCountMap &PathCounts, const HeuristicOptions &Heur);
   ~CandidateStore();
 
   CandidateStore(const CandidateStore &) = delete;
@@ -201,40 +216,59 @@ public:
   /// hash of the full candidate bytes (the campaign derives it from a
   /// prefix-hash array without building the string). \p ParentDelta is
   /// the candidate's parent-chain growth over the group's base (1 for
-  /// substitutions, 0 for requeued prefixes). Compact mode stores a
-  /// record + suffix bytes; reference mode builds the full string from
-  /// \p ParentInput. The caller checks queueSize() against its cap and
-  /// triggers rescore, mirroring the original push-then-maybe-trim
-  /// order.
+  /// substitutions, 0 for migrated imports). \p Score must be an upper
+  /// bound of the candidate's formula score at every later tick: the
+  /// formula over the run's capture-time branch count and the live path
+  /// counts is. Compact mode stores a record + suffix bytes; reference
+  /// mode builds the full string from \p ParentInput. The caller checks
+  /// queueSize() against its cap and calls rescore(), mirroring the
+  /// original push-then-maybe-trim order.
   void push(uint32_t Run, uint32_t Parent, std::string_view ParentInput,
             size_t SpliceAt, std::string_view Suffix, uint64_t Hash,
             uint32_t ReplacementLen, uint32_t ParentDelta, double Score);
 
-  /// Pops the best-scored candidate: materializes its input into
-  /// \p InputOut and returns its metadata. In compact mode the record
-  /// stays pinned (the queue pin transfers to the caller).
+  /// Pushes a requeued prefix: the parent record \p Parent itself (bytes
+  /// \p Input, an empty suffix spliced at its full length, replacement
+  /// length 1, no parent growth), attached to \p Run's group. \p Score
+  /// is the formula minus the requeue penalty — below the formula, so not
+  /// an upper bound: the entry waits in a side heap, competing at
+  /// \p Score, until the next tick lifts it into the main heap at its
+  /// formula score and the penalty is gone.
+  void pushRequeue(uint32_t Run, uint32_t Parent, std::string_view Input,
+                   uint64_t Hash, double Score);
+
+  /// Pops the candidate first in (tick-state score, push sequence) order:
+  /// settles the main heap's top (see the file comment), materializes the
+  /// input into \p InputOut and returns its metadata. In compact mode
+  /// the record stays pinned (the queue pin transfers to the caller).
   Popped pop(std::string &InputOut);
 
   size_t queueSize() const;
   bool empty() const { return queueSize() == 0; }
 
-  /// Re-filters every queued candidate's new-branch list against \p VBr
-  /// and brings every score up to date (Algorithm 1 lines 40-43) by delta
-  /// rescoring (see the file comment); enforces the queue cap by dropping
-  /// the worst-scored half when exceeded. Returns true when a trim
-  /// happened (the campaign resets its requeue counters on trim, as
-  /// before).
-  bool rescore(const BranchCoverageMap &VBr, const PathCountMap &PathCounts,
-               const HeuristicOptions &Heur);
+  /// Advances the tick state (Algorithm 1 lines 40-43, made lazy): the
+  /// caller has just grown vBr or folded path counts. Lifts this window's
+  /// requeued prefixes into the main heap at their formula score; every
+  /// other entry is settled when it reaches the top. Reference mode
+  /// re-scores every candidate instead.
+  void tick();
+
+  /// The full pass: a tick that re-scores every queued candidate, drops
+  /// the worst half when the queue exceeds its cap, and rebuilds the heap.
+  /// Needed on overflow and after a path-count decay (which lowers counts
+  /// and so raises scores). Returns true when a trim happened (the
+  /// campaign resets its requeue counters on trim, as before).
+  bool rescore();
+
+  /// Renumbers the push sequences of every queued candidate densely,
+  /// preserving their order, so pop order is unchanged. push() calls it
+  /// before the 32-bit counter would wrap; public so tests can interleave
+  /// it anywhere.
+  void renumberSequences();
 
   //===--------------------------------------------------------------------===//
-  // Positional heap accessors (shard migration, identity tests)
+  // Shard migration
   //===--------------------------------------------------------------------===//
-
-  /// Heap-array position access: \p Pos indexes the heap layout (0 is
-  /// the next pop; children of i at 2i+1 / 2i+2).
-  double scoreAt(size_t Pos) const;
-  uint64_t hashAt(size_t Pos) const;
 
   /// Everything a candidate needs to cross a shard boundary (see
   /// core/ShardSync.h): full bytes, hash, and the run features an
@@ -251,18 +285,19 @@ public:
     uint32_t ReplacementLen = 0;
   };
 
-  /// Copies the candidate at heap position \p Pos (0 = the next pop) out
-  /// of the store. String buffers of \p Out are recycled across calls.
-  void exportAt(size_t Pos, Exported &Out) const;
+  /// Copies the next pop out of the store (settling the heap top first,
+  /// as pop() does) without removing it. String buffers of \p Out are
+  /// recycled across calls. The queue must not be empty.
+  void exportTop(Exported &Out);
 
   //===--------------------------------------------------------------------===//
   // Accounting
   //===--------------------------------------------------------------------===//
 
-  /// Exact current queue memory: records, suffix arena, heap entries,
-  /// group lists and rescore scratch in compact mode (O(1): list
-  /// capacities are a running total); candidate structs, string heap
-  /// allocations and distinct shared branch lists in reference mode.
+  /// Exact current queue memory: records, suffix arena, heap entries and
+  /// group lists in compact mode (O(1): list capacities are a running
+  /// total); candidate structs, string heap allocations and distinct
+  /// shared branch lists in reference mode.
   size_t bytesInUse() const;
 
   /// bytesInUse() recounted by walking every group slot's list — the
@@ -310,14 +345,14 @@ private:
                 "Record outgrew its slot; the queue-memory math in "
                 "DESIGN.md section 14 assumes 40-byte records");
 
-  /// One heap element; the comparator reads Score only, so heap
-  /// permutations match the by-value queue's exactly. Group mirrors the
-  /// record's group (fixed from push to pop) in what was padding, so the
-  /// delta pass of rescore never touches the record slab.
+  /// One heap element, ordered by (Score, Seq): the higher score first,
+  /// then the newer push. Seq is the candidate's push sequence, kept when
+  /// the settle loop re-pushes it; entries with Seq >= TickSeq were
+  /// pushed since the last tick and hold exact push-time scores.
   struct Entry {
     double Score = 0;
     uint32_t Id = 0;
-    uint32_t Group = 0;
+    uint32_t Seq = 0;
   };
 
   static_assert(sizeof(Entry) == 16, "Entry outgrew its 16 bytes");
@@ -328,31 +363,19 @@ private:
   /// a real fraction of compact-mode memory, and a 16-byte field only
   /// reference mode reads would inflate it for nothing.
   struct Group {
-    /// Compact mode: the run's new-branch list, filtered in place at
-    /// rescores (see the file comment for why that is equivalent to
-    /// copy-on-rescore).
+    /// Compact mode: the run's new-branch list, filtered in place when a
+    /// member is scored against grown coverage (see the file comment for
+    /// why that is equivalent to copy-on-rescore).
     std::vector<uint32_t> Branches;
     uint64_t FilterEpoch = 0;
     uint64_t PathHash = 0;
     double AvgStack = 0;
     uint32_t NumParentsBase = 0;
     uint32_t Members = 0;
-    /// The score terms a rescore can move, as of the last rescore:
-    /// Branches.size() minus the capped path-novelty penalty. Every
-    /// member's stored score is its full formula value at that rescore
-    /// unless Dirty, so the next rescore adds the change of this value
-    /// instead of recomputing (see rescore).
-    int32_t Varying = 0;
     bool RunPinned = false;
-    /// Pushed to since the last rescore: members carry push-time scores
-    /// (requeue penalties, unfiltered counts), not the formula, so the
-    /// next rescore recomputes them in full.
-    bool Dirty = true;
   };
 
-  static_assert(sizeof(Group) == 64,
-                "Group outgrew its 64 bytes; Varying and Dirty must stay "
-                "in what was padding (DESIGN.md section 14)");
+  static_assert(sizeof(Group) == 64, "Group outgrew its 64 bytes");
 
   /// A reference-mode candidate — the pre-store by-value layout,
   /// preserved field for field so its memory footprint is the honest
@@ -367,6 +390,7 @@ private:
     uint64_t PathHash = 0;
     uint64_t InputHash = 0;
     double Score = 0;
+    uint64_t Seq = 0;
   };
 
   uint32_t allocRecord();
@@ -375,42 +399,52 @@ private:
   uint32_t allocGroup();
   void maybeFreeGroup(uint32_t GroupId);
   void unlinkGroup(uint32_t Id);
+  void enqueue(uint32_t Run, uint32_t Parent, std::string_view ParentInput,
+               size_t SpliceAt, std::string_view Suffix, uint64_t Hash,
+               uint32_t ReplacementLen, uint32_t ParentDelta, double Score,
+               bool Requeue);
+  void reserveEntry();
   void materialize(uint32_t Id, std::string &Out) const;
-  double scoreRecord(const Record &R, const Group &G,
-                     const PathCountMap &PathCounts,
-                     const HeuristicOptions &Heur) const;
-  void rescoreCompact(const BranchCoverageMap &VBr,
-                      const PathCountMap &PathCounts,
-                      const HeuristicOptions &Heur);
+  double scoreEntry(uint32_t Id);
+  std::vector<Entry> &settledHeap();
+  void rescoreRef();
   void maybeCompactArena();
 
   const bool Reference;
   const size_t MaxQueue;
+  /// The tick state (see the constructor).
+  const BranchCoverageMap &VBr;
+  const PathCountMap &PathCounts;
+  /// Fixed at construction.
+  const HeuristicOptions Heur;
+  /// Pushes so far (both modes): paces peak sampling and arena
+  /// compaction, and is reference mode's push sequence.
+  uint64_t PushTick = 0;
 
   // Compact mode state.
   std::vector<Record> Records;
   /// Head of the intrusive free list threaded through freed records'
   /// Parent fields — no side vector of free ids.
   uint32_t FreeHead = None;
+  /// The main heap: entries whose stored score is an upper bound of
+  /// their tick-state score (exact for Seq >= TickSeq).
   std::vector<Entry> Entries;
+  /// This window's requeued prefixes, a heap of exact penalized scores
+  /// that the next tick lifts into Entries at their formula score.
+  std::vector<Entry> Requeues;
+  /// The next push sequence, and its value at the last tick.
+  uint32_t NextSeq = 0;
+  uint32_t TickSeq = 0;
   std::vector<Group> Groups;
   std::vector<uint32_t> FreeGroups;
   ByteArena Arena;
   /// Suffix bytes owned by freed records; compaction reclaims them.
   size_t ArenaGarbage = 0;
   size_t LiveGroups = 0;
-  uint64_t PushTick = 0;
   /// Running total of every group slot's branch-list capacity in bytes,
   /// kept wherever a list is assigned or released so bytesInUse() needs
   /// no walk over the group slab.
   size_t ListBytes = 0;
-  /// Rescore scratch indexed by group id: the change of the group's
-  /// Varying terms, or FullRescore. Kept across rescores (counted in
-  /// bytesInUse).
-  std::vector<int16_t> GroupDelta;
-  /// The heuristic switches of the previous rescore; stored scores
-  /// follow them, so a rescore under different switches recomputes all.
-  HeuristicOptions LastHeur;
 
   // Reference mode state.
   std::vector<RefCandidate> RefQueue;

@@ -196,7 +196,7 @@ public:
            const PFuzzerOptions &Config)
       : S(S), Opts(Opts), Config(Config), Heur(Config.Heur), R(Opts.Seed),
         Cache(Config.RunCacheSize),
-        Store(Config.ReferenceQueue, Config.MaxQueue) {
+        Store(Config.ReferenceQueue, Config.MaxQueue, VBr, PathCounts, Heur) {
     // The prefix-resumption engine: only for subjects audited as safe to
     // checkpoint, and only when this build can switch stacks — anything
     // else falls back to plain full re-execution, which records the
@@ -238,9 +238,9 @@ private:
   /// new-branch list lives in the store as a group (one list shared by
   /// every candidate the run spawns); Run is its handle, released at the
   /// end of the iteration that executed it. NewBranchCount is the list
-  /// size captured at creation — push-time scores use it even if a
-  /// mid-iteration rescore filters the queued copies, exactly as the
-  /// by-value queue scored pushes from its unfiltered RunStats list.
+  /// size captured at creation — push-time scores use it even after a
+  /// tick filters the group's list, so they stay upper bounds of every
+  /// later tick-state score.
   struct RunStats {
     uint32_t Run = CandidateStore::None;
     uint32_t NewBranchCount = 0;
@@ -271,14 +271,40 @@ private:
                      const RunStats &Stats, uint32_t ParentCount,
                      uint32_t ParentRec);
 
-  /// Recomputes all queue scores against the grown vBr (lines 40-43) and
-  /// enforces the queue cap; a trim also resets oversized requeue
-  /// counters, as before.
+  /// Advances the store's tick state after vBr grew (lines 40-43) or
+  /// every 384 executions: folds this window's path counts into the
+  /// table the store scores against. Re-scores nothing eagerly — the
+  /// store settles candidates as they reach the top (CandidateStore.h).
+  void tickQueue() {
+    foldPaths();
+    Store.tick();
+  }
+
+  /// The full pass: a tick that recomputes every queue score and
+  /// enforces the queue cap, on overflow and after a path decay; a trim
+  /// also resets oversized requeue counters, as before.
   void rescoreQueue() {
     TELEMETRY_SPAN("rescore");
-    if (Store.rescore(VBr, PathCounts, Heur) &&
-        RequeueCounts.size() > Config.MaxQueue)
+    foldPaths();
+    if (Store.rescore() && RequeueCounts.size() > Config.MaxQueue)
       RequeueCounts.clear();
+  }
+
+  /// Moves this window's path counts into PathCounts.
+  void foldPaths() {
+    PendingPaths.filter([this](uint64_t PathHash, uint32_t &Count) {
+      PathCounts[PathHash] += Count;
+      return true;
+    });
+    PendingPaths.clear();
+    NewPaths = 0;
+  }
+
+  /// A path's live count: the tick state's plus this window's.
+  uint32_t livePathCount(uint64_t PathHash) const {
+    const uint32_t *Settled = PathCounts.find(PathHash);
+    const uint32_t *Pending = PendingPaths.find(PathHash);
+    return (Settled ? *Settled : 0) + (Pending ? *Pending : 0);
   }
 
   /// Samples this shard's local state and writes one heartbeat record.
@@ -300,25 +326,30 @@ private:
     Config.Heartbeat->emit(HS);
   }
 
-  /// Counts one execution of the parse path \p PathHash, decaying the
-  /// table when it outgrows the queue cap. The table previously grew
-  /// without bound over a campaign (8+4 bytes per distinct path);
-  /// halving all counts and dropping the zeros keeps it capped while
-  /// preserving the ranking's shape — hot paths stay hot relative to
-  /// cold ones, and a count that decayed to zero had already stopped
-  /// mattering (the score term saturates at 24). Both queue modes share
-  /// this table, so decay cannot break compact-vs-reference identity.
+  /// Counts one execution of the parse path \p PathHash in this
+  /// window's pending table, decaying the path table when the two
+  /// together outgrow the queue cap. The table previously grew without
+  /// bound over a campaign (8+4 bytes per distinct path); halving all
+  /// counts and dropping the zeros keeps it capped while preserving the
+  /// ranking's shape — hot paths stay hot relative to cold ones, and a
+  /// count that decayed to zero had already stopped mattering (the score
+  /// term saturates at 24). Decay lowers counts, which raises scores, so
+  /// it is followed by a full pass.
   void notePath(uint64_t PathHash) {
-    ++PathCounts[PathHash];
+    if (PendingPaths[PathHash]++ == 0 && !PathCounts.find(PathHash))
+      ++NewPaths;
+    size_t Paths = PathCounts.size() + NewPaths;
     Store.Stats.PeakPathTable =
-        std::max<uint64_t>(Store.Stats.PeakPathTable, PathCounts.size());
-    if (PathCounts.size() <= Config.MaxQueue)
+        std::max<uint64_t>(Store.Stats.PeakPathTable, Paths);
+    if (Paths <= Config.MaxQueue)
       return;
+    foldPaths();
     // Each entry's fate depends only on its own count, so the table's
     // visit order cannot change the result.
     PathCounts.filter(
         [](uint64_t, uint32_t &Count) { return (Count /= 2) != 0; });
     ++Store.Stats.PathDecays;
+    rescoreQueue();
   }
 
   /// Fills ExpansionScratch with the possible replacement strings a
@@ -327,20 +358,20 @@ private:
   /// all byte values, so they stay valid while \p RR does.
   void expansions(const RunResult &RR, const ComparisonEvent &E);
 
-  /// Push-time candidate score; the store's rescore pass recomputes the
-  /// same features through the same heuristicScore overload, so a
-  /// candidate's score is identical no matter which layer computes it.
+  /// Push-time candidate score, over the live path count \p PathCount:
+  /// the store scores the same features through the same heuristicScore
+  /// overload against the tick state, which can only rank the candidate
+  /// lower, so the push-time score is an upper bound of every later one.
   double scoreCandidate(uint32_t NewBranchCount, size_t InputLen,
                         size_t ReplacementLen, double AvgStack,
-                        uint32_t NumParents, uint64_t PathHash) {
+                        uint32_t NumParents, uint32_t PathCount) {
     CandidateFeatures F;
     F.NewBranches = NewBranchCount;
     F.InputLen = static_cast<uint32_t>(InputLen);
     F.ReplacementLen = static_cast<uint32_t>(ReplacementLen);
     F.AvgStackSize = AvgStack;
     F.NumParents = NumParents;
-    const uint32_t *Count = PathCounts.find(PathHash);
-    F.PathCount = Count ? *Count : 0;
+    F.PathCount = PathCount;
     return heuristicScore(F, Heur);
   }
 
@@ -383,8 +414,13 @@ private:
   /// directly in the report. A dense bitmap: the test-per-branch loops in
   /// runCheck/computeStats/rescoreQueue are the campaign's hottest code.
   BranchCoverageMap &VBr = Report.ValidBranches;
-  /// Per-path execution counts, bounded by notePath's decay.
+  /// Per-path execution counts as of the last tick — the table the store
+  /// scores against — bounded by notePath's decay.
   PathCountMap PathCounts;
+  /// This window's path counts, folded into PathCounts at the next tick.
+  PathCountMap PendingPaths;
+  /// Paths in PendingPaths that PathCounts lacks.
+  size_t NewPaths = 0;
   /// Seen-candidate dedup keyed by 64-bit input hash instead of the input
   /// bytes. A colliding hash drops a genuinely new candidate; tolerated —
   /// at ~1e5 live entries the odds are ~1e-9 per insert, the search is
@@ -393,9 +429,10 @@ private:
   FlatHashSet Enqueued;
   /// Memoized bare runs; see PFuzzerOptions::RunCacheSize.
   RunCache Cache;
-  /// The candidate priority queue (max-heap by score): compact
-  /// prefix-suffix records by default, by-value strings when
-  /// Config.ReferenceQueue — see core/CandidateStore.h.
+  /// The candidate priority queue (pops the best score, newest push
+  /// first): compact prefix-suffix records settled lazily by default,
+  /// the eager by-value queue when Config.ReferenceQueue — see
+  /// core/CandidateStore.h.
   CandidateStore Store;
   /// Prefix-resumption engine, or null when disabled/ineligible; see
   /// PFuzzerOptions::ResumeCacheSize.
@@ -408,7 +445,7 @@ private:
   /// two prefixes' retry counters; tolerated for the same reason as the
   /// Enqueued set above.
   FlatHashMap<uint32_t> RequeueCounts;
-  uint64_t LastRescore = 0;
+  uint64_t LastTick = 0;
   /// Reusable scratch for per-run distinct-branch extraction; cleared,
   /// never reallocated, on each execution.
   std::vector<uint32_t> CoveredScratch;
@@ -504,13 +541,13 @@ FuzzReport Campaign::run() {
     if (Report.Executions / SampleEvery !=
         (Report.Executions + 1) / SampleEvery)
       sampleTimeline();
-    // Path-novelty decay: candidate scores embed the path counts of their
+    // Path novelty: candidate scores embed the path counts of their
     // creation time; refresh them periodically so lineages that keep
     // re-executing the same parse path sink in the queue (Section 3.2's
     // "ranking those highest that cover new paths").
-    if (Report.Executions >= LastRescore + 384) {
-      LastRescore = Report.Executions;
-      rescoreQueue();
+    if (Report.Executions >= LastTick + 384) {
+      LastTick = Report.Executions;
+      tickQueue();
     }
     // Shard synchronization at deterministic execution-count boundaries.
     // Before the empty-queue check: a migrated candidate can rescue an
@@ -628,7 +665,7 @@ const RunResult *Campaign::runCheck(const std::string &Input, uint64_t Hash,
   Report.ValidInputs.push_back(Input);
   VBr.insert(CoveredScratch.begin(), CoveredScratch.end());
   sampleTimeline();
-  rescoreQueue();
+  tickQueue();
   Valid = true;
   return Run;
 }
@@ -750,6 +787,9 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
                          uint32_t ParentRec) {
   if (!Stats.HaveIdx)
     return;
+  // Constant through this call: a full pass on overflow folds pending
+  // counts into PathCounts, which leaves live counts unchanged.
+  uint32_t PathCount = livePathCount(Stats.PathHash);
   // Rolling prefix hashes, computed once per call: candidate hashes are
   // derived from them without building any candidate string — the
   // allocation the by-value queue paid per candidate is gone entirely.
@@ -796,7 +836,7 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
       }
       double Score =
           scoreCandidate(Stats.NewBranchCount, NewLen, Rep.size(),
-                         Stats.AvgStack, ParentCount + 1, Stats.PathHash);
+                         Stats.AvgStack, ParentCount + 1, PathCount);
       Store.push(Stats.Run, ParentRec, Input, SpliceAt, Rep, Hash,
                  static_cast<uint32_t>(Rep.size()), /*ParentDelta=*/1, Score);
       if (Store.queueSize() > Config.MaxQueue)
@@ -815,19 +855,20 @@ void Campaign::requeuePrefix(const std::string &Input, uint64_t Hash,
   // Deliberately bypasses the Enqueued dedup: the same prefix re-enters
   // once per execution so a fresh random extension gets its chance; each
   // round costs it an extra score point so retries drain gradually. The
-  // penalty only lasts until the next rescore: the store recomputes the
-  // entry from the formula, which does not know Count, so this stored
-  // score sits *below* the fresh one (not an upper bound of it).
-  double Score = scoreCandidate(Stats.NewBranchCount, Input.size(), 1,
-                                Stats.AvgStack, ParentCount, Stats.PathHash) -
-                 Count;
+  // penalty lasts until the next tick, which lifts the entry out of the
+  // store's requeue side heap at its formula score (pushRequeue): below
+  // the formula, this score is no upper bound and cannot wait in the
+  // lazily settled main heap.
+  double Score =
+      scoreCandidate(Stats.NewBranchCount, Input.size(), 1, Stats.AvgStack,
+                     ParentCount, livePathCount(Stats.PathHash)) -
+      Count;
   if (Opts.Verbose)
     std::fprintf(stderr, "requeue score=%.1f count=%u [%s]\n", Score, Count,
                  Input.c_str());
   // An empty-suffix record spliced at the full length: the requeued
   // candidate *is* its parent, byte for byte, at zero stored bytes.
-  Store.push(Stats.Run, ParentRec, Input, Input.size(), std::string_view(),
-             Hash, /*ReplacementLen=*/1, /*ParentDelta=*/0, Score);
+  Store.pushRequeue(Stats.Run, ParentRec, Input, Hash, Score);
   if (Store.queueSize() > Config.MaxQueue)
     rescoreQueue();
 }
@@ -861,7 +902,7 @@ void Campaign::publishShardPacket(bool Final) {
   // best-scored lead, worth propagating instead of re-deriving N times.
   // Final packets skip it (peers may already be draining).
   if (!Final && !Store.empty()) {
-    Store.exportAt(0, ExportScratch);
+    Store.exportTop(ExportScratch);
     P.HasCandidate = true;
     P.CandidateBytes = ExportScratch.Bytes;
     P.CandidateHash = ExportScratch.Hash;
@@ -879,9 +920,11 @@ void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
   // test and the heuristic's NewBranches term now measure against the
   // joint frontier, so shards stop re-earning each other's discoveries.
   // vBr stays grow-only, which is all the store's monotone group
-  // filtering assumes.
-  Sync->Stats.BranchesImported +=
-      VBr.mergeDelta(P.Branches.begin(), P.Branches.end());
+  // filtering assumes; growing it moves the tick state, so it ticks.
+  size_t Imported = VBr.mergeDelta(P.Branches.begin(), P.Branches.end());
+  Sync->Stats.BranchesImported += Imported;
+  if (Imported != 0)
+    tickQueue();
   if (!P.HasCandidate)
     return;
   if (!Alive || P.CandidateBytes.size() > Opts.MaxInputLen ||
@@ -905,7 +948,7 @@ void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
   double Score = scoreCandidate(
       static_cast<uint32_t>(ImportFilterScratch.size()),
       P.CandidateBytes.size(), P.CandidateReplacementLen, P.CandidateAvgStack,
-      P.CandidateNumParents, P.CandidatePathHash);
+      P.CandidateNumParents, livePathCount(P.CandidatePathHash));
   // Root-shaped push: no parent record, splice at 0, the full bytes as
   // the suffix — the one record shape that materializes identically in
   // both queue representations.

@@ -126,19 +126,20 @@ struct PFuzzerOptions {
   /// Per-run cap on ladder checkpoints (see ResumeStride).
   uint32_t ResumeRungs = 3;
 
-  /// Queue cap: when a push or rescore finds more candidates than this,
-  /// the next re-rank drops the worst-scored half (the paper's prototype
-  /// lets the queue grow; we bound memory). Also caps the path-count
+  /// Queue cap: when a push finds more candidates than this, a full
+  /// re-rank drops the worst-scored half (the paper's prototype lets the
+  /// queue grow; we bound memory). Also caps the path-count
   /// table, whose entries decay when it outgrows the cap. A knob mainly
   /// so tests can exercise trim pressure and path decay on small
   /// campaigns; the default matches the historical constant.
   size_t MaxQueue = 100000;
 
   /// Store candidates as full by-value strings (the pre-store
-  /// representation) instead of compact prefix-suffix records. The
-  /// search trajectory is byte-identical either way — this exists so the
+  /// representation), re-scored eagerly at every tick, instead of
+  /// compact prefix-suffix records settled lazily on pop. The search
+  /// trajectory is byte-identical either way — this exists so the
   /// identity sweep test and the queue benches can compare the two
-  /// representations honestly.
+  /// honestly.
   bool ReferenceQueue = false;
 
   /// Shard count of the campaign. 1 (the default) runs the plain

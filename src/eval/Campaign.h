@@ -65,9 +65,10 @@ struct ToolOptions {
   uint32_t PFuzzerResumeRungs = 3;
 
   /// PFuzzerOptions::ReferenceQueue: store candidates as full by-value
-  /// strings instead of compact prefix-suffix records. Reports are
-  /// byte-identical either way; the identity sweep test and the queue
-  /// benches flip this for honest before/after comparisons.
+  /// strings re-scored eagerly at every tick instead of lazily settled
+  /// compact prefix-suffix records. Reports are byte-identical either
+  /// way; the identity sweep test and the queue benches flip this for
+  /// honest before/after comparisons.
   bool PFuzzerReferenceQueue = false;
 
   /// PFuzzerOptions::MaxQueue: candidate-queue cap (trims drop the

@@ -6,14 +6,16 @@
 ///
 /// \file
 /// The contract of the compact candidate store (core/CandidateStore.h):
-/// representation only, never behavior. A campaign run on compact
-/// prefix-suffix records must produce a FuzzReport byte-identical to the
-/// same campaign run on the string-backed reference queue — on every
-/// evaluation subject, crossed with the run cache, the resume engine,
-/// queue-trim pressure, path-table decay and each heuristic term. Plus direct store unit tests
-/// (materialization chains, trim + arena compaction, delta rescoring
-/// against the reference at every heap position, the running byte
-/// total) and the PathCounts decay regression.
+/// representation and laziness only, never behavior. A campaign run on
+/// lazily settled compact prefix-suffix records must produce a FuzzReport
+/// byte-identical to the same campaign run on the eager string-backed
+/// reference queue — on every evaluation subject, crossed with the run
+/// cache, the resume engine, queue-trim pressure, path-table decay, each
+/// heuristic term and four shards. Plus direct store unit tests
+/// (materialization chains, trim + arena compaction, lazy against eager
+/// pop sequences over random operation scripts, every pop against a
+/// brute-force maximum, the running byte total) and the PathCounts decay
+/// regression.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +29,7 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,6 +43,7 @@ struct QueueConfig {
   uint32_t ResumeCache = 0;
   size_t MaxQueue = 100000;
   HeuristicOptions Heur = {};
+  uint32_t Shards = 1;
 };
 
 /// The default switches with the one term \p Off disabled.
@@ -63,6 +67,7 @@ FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
   TelemetrySnapshot Telemetry;
   Options.TelemetryOut = &Telemetry;
   Options.Heur = C.Heur;
+  Options.Shards = C.Shards;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
@@ -80,15 +85,23 @@ void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
   EXPECT_EQ(A.CoverageTimeline, B.CoverageTimeline);
 }
 
+/// What a store scores against, for direct store tests.
+struct TickState {
+  BranchCoverageMap VBr;
+  PathCountMap PathCounts;
+  HeuristicOptions Heur;
+};
+
 } // namespace
 
 TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
-  // The identity sweep: compact records against the by-value reference
-  // queue, on all five evaluation subjects, crossed with every execution
-  // optimization and with queue caps small enough to force trims. The
-  // compact store rescores by deltas, so the sweep also covers a cap
-  // small enough to decay the path table (the one event that raises a
-  // group's score part) and every heuristic term switched off in turn.
+  // The identity sweep: lazily settled compact records against the eager
+  // by-value reference queue, on all five evaluation subjects, crossed
+  // with every execution optimization and with queue caps small enough
+  // to force trims. The sweep also covers a cap small enough to decay
+  // the path table (the one event that raises scores), every heuristic
+  // term switched off in turn, and four shards (migration exports settle
+  // the heap top; vBr-growing merges tick).
   const QueueConfig Configs[] = {
       {"default"},
       {"nocache-trim", /*RunCache=*/0, 0, /*MaxQueue=*/256},
@@ -102,6 +115,7 @@ TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
       {"no-parents", 64, 0, 100000,
        without(&HeuristicOptions::ParentCountTerm)},
       {"no-path", 64, 0, 100000, without(&HeuristicOptions::PathNovelty)},
+      {"shards4", 64, 0, 100000, {}, /*Shards=*/4},
   };
   for (const Subject *S : evaluationSubjects()) {
     uint64_t Execs = S == &jsonSubject() ? 3000 : 1500;
@@ -159,7 +173,9 @@ TEST(PFuzzerQueueStoreTest, PathTableDecaysInsteadOfGrowingUnbounded) {
 TEST(PFuzzerQueueStoreTest, MaterializesParentChains) {
   // Direct store exercise: a substitution chain three records deep, each
   // splicing below its parent, must reassemble exactly.
-  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/100);
+  TickState State;
+  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/100, State.VBr,
+                       State.PathCounts, State.Heur);
   uint32_t Root = Store.internRoot("abc", 0x1);
   std::vector<uint32_t> Branches{10, 20, 30};
   uint32_t Run = Store.makeRun(Branches, 0, 1.5, 0x99, 0);
@@ -175,9 +191,9 @@ TEST(PFuzzerQueueStoreTest, MaterializesParentChains) {
   // The popped record (still pinned) becomes the next parent.
   uint32_t Run2 = Store.makeRun(Branches, 0, 1.5, 0x99, P.NumParents);
   Store.push(Run2, P.Id, Out, 3, "z", 0x3, 1, 1, 6.0);
-  // A requeue-style record: empty suffix spliced at the full length is
-  // its parent byte for byte at zero stored bytes.
-  Store.push(Run2, P.Id, Out, 4, std::string_view(), 0x4, 1, 0, 4.0);
+  // A requeued record: empty suffix spliced at the full length is its
+  // parent byte for byte at zero stored bytes.
+  Store.pushRequeue(Run2, P.Id, Out, 0x4, 4.0);
   CandidateStore::Popped Child = Store.pop(Out);
   EXPECT_EQ(Out, "abxz");
   EXPECT_EQ(Child.NumParents, 2u);
@@ -198,10 +214,9 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
   // must drop the worst-scored half, and with most of the arena then
   // dead, compaction must rebuild it — after which the survivors must
   // still materialize byte for byte (offsets patched correctly).
-  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/4);
-  BranchCoverageMap VBr;
-  PathCountMap PathCounts;
-  HeuristicOptions Heur;
+  TickState State;
+  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/4, State.VBr,
+                       State.PathCounts, State.Heur);
   uint32_t Root = Store.internRoot("", 0x1);
   std::vector<uint32_t> NoBranches;
   uint32_t Run = Store.makeRun(NoBranches, 0, 0.0, 0, 0);
@@ -214,7 +229,7 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
                /*ParentDelta=*/1, 2.0 * I - 601);
   }
   ASSERT_EQ(Store.queueSize(), 12u);
-  bool Trimmed = Store.rescore(VBr, PathCounts, Heur);
+  bool Trimmed = Store.rescore();
   EXPECT_TRUE(Trimmed);
   EXPECT_EQ(Store.queueSize(), 2u);
   EXPECT_EQ(Store.Stats.Trims, 1u);
@@ -233,29 +248,56 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
 namespace {
 
 /// One random sequence of store operations — runs opened and released,
-/// pushes carrying push-time scores (unfiltered counts, requeue-style
-/// penalties), pops, coverage growth, path-count increases and decays,
-/// and rescores with trims at a small cap — applied identically to every
-/// store in \p Stores. \p AfterOp runs after each operation; \p OnRescore
-/// after each rescore of all stores.
+/// pushes at upper-bound scores, requeues at penalized scores, pops,
+/// coverage growth and path-count folds (each followed by a tick, as
+/// campaigns do), pending path-count increments, decays and overflows
+/// (each followed by a full pass, trimming at a small cap) — applied
+/// identically to every store in Stores. Beside the stores it keeps a
+/// plain model of the queue: every queued candidate's features, push
+/// sequence and push-time score, so a test can compute any candidate's
+/// key in the eager queue by brute force, and checks every pop of every
+/// store against it. \p AfterOp runs after each operation.
 struct StoreScript {
-  std::vector<CandidateStore *> Stores;
   HeuristicOptions Heur;
   size_t MaxQueue = 48;
+  /// The tick state the stores score against, and this window's path
+  /// counts (folded into PathCounts at ticks and full passes).
+  BranchCoverageMap VBr;
+  PathCountMap PathCounts;
+  PathCountMap PendingPaths;
+  std::vector<std::unique_ptr<CandidateStore>> Stores;
   std::function<void()> AfterOp = [] {};
-  std::function<void()> OnRescore = [] {};
+  size_t Pops = 0;
 
   struct OpenRun {
     std::vector<uint32_t> Ids; // one group per store
-    uint32_t BranchCount = 0;
+    std::vector<uint32_t> Branches; // as filtered at creation
     double AvgStack = 0;
     uint64_t PathHash = 0;
     uint32_t NumParentsBase = 0;
   };
 
-  BranchCoverageMap VBr;
-  PathCountMap PathCounts;
+  /// A queued candidate as the eager queue sees it.
+  struct Queued {
+    uint64_t Hash = 0;
+    std::vector<uint32_t> Branches;
+    CandidateFeatures F; // PathCount unused: read from the tick state
+    uint64_t PathHash = 0;
+    uint64_t Seq = 0;
+    double PushScore = 0;
+    /// Pushed since the last tick: the eager key is PushScore.
+    bool Fresh = true;
+  };
+
   std::vector<OpenRun> Runs;
+  std::vector<Queued> Model;
+  uint64_t NextSeq = 0;
+
+  CandidateStore &addStore(bool Reference) {
+    Stores.push_back(std::make_unique<CandidateStore>(Reference, MaxQueue,
+                                                      VBr, PathCounts, Heur));
+    return *Stores.back();
+  }
 
   void run(uint64_t Seed, size_t Steps) {
     Rng R(Seed);
@@ -265,44 +307,86 @@ struct StoreScript {
         openRun(R);
       else if (Op < 12)
         releaseRun(R.below(Runs.size()));
-      else if (Op < 62)
-        push(R);
+      else if (Op < 52)
+        push(R, /*Requeue=*/false);
+      else if (Op < 60)
+        push(R, /*Requeue=*/true);
       else if (Op < 76)
         pop();
-      else if (Op < 84)
+      else if (Op < 82) {
         VBr.set(static_cast<uint32_t>(R.below(300)));
-      else if (Op < 91)
-        PathCounts[R.below(12)] += static_cast<uint32_t>(1 + R.below(6));
-      else if (Op < 93)
+        tick();
+      } else if (Op < 90)
+        PendingPaths[R.below(12)] += static_cast<uint32_t>(1 + R.below(6));
+      else if (Op < 95)
+        tick();
+      else if (Op < 97)
         decayPaths();
+      else if (Op < 98)
+        renumber();
       else
-        rescore();
+        fullPass();
     }
     while (!Runs.empty())
       releaseRun(Runs.size() - 1);
   }
 
+  uint32_t livePathCount(uint64_t PathHash) const {
+    const uint32_t *Settled = PathCounts.find(PathHash);
+    const uint32_t *Pending = PendingPaths.find(PathHash);
+    return (Settled ? *Settled : 0) + (Pending ? *Pending : 0);
+  }
+
+  void foldPaths() {
+    PendingPaths.filter([this](uint64_t PathHash, uint32_t &Count) {
+      PathCounts[PathHash] += Count;
+      return true;
+    });
+    PendingPaths.clear();
+  }
+
+  /// The candidate's key in the eager queue, in the current window.
+  double eagerKey(const Queued &Q) const {
+    if (Q.Fresh)
+      return Q.PushScore;
+    CandidateFeatures F = Q.F;
+    F.NewBranches = 0;
+    for (uint32_t B : Q.Branches)
+      F.NewBranches += !VBr.test(B);
+    const uint32_t *Count = PathCounts.find(Q.PathHash);
+    F.PathCount = Count ? *Count : 0;
+    return heuristicScore(F, Heur);
+  }
+
+  /// Index of the model's next pop: the largest (key, sequence).
+  size_t bruteForceTop() const {
+    size_t Best = 0;
+    for (size_t I = 1; I != Model.size(); ++I) {
+      double Key = eagerKey(Model[I]), BestKey = eagerKey(Model[Best]);
+      if (Key > BestKey || (Key == BestKey && Model[I].Seq > Model[Best].Seq))
+        Best = I;
+    }
+    return Best;
+  }
+
   void openRun(Rng &R) {
-    std::vector<uint32_t> Branches;
+    OpenRun Run;
     // Mostly short lists, sometimes an early-campaign burst past the
     // store's 16-entry recycling cap.
     size_t Len = R.chance(1, 8) ? 20 + R.below(40) : R.below(12);
     for (size_t I = 0; I != Len; ++I) {
       uint32_t B = static_cast<uint32_t>(R.below(300));
       if (!VBr.test(B))
-        Branches.push_back(B);
+        Run.Branches.push_back(B);
     }
-    OpenRun Run;
-    Run.BranchCount = static_cast<uint32_t>(Branches.size());
-    // Stack averages are half-integers in campaigns; a third exercises
-    // the store's full-recompute fallback.
+    // Stack averages are half-integers in campaigns; a tenth are not.
     Run.AvgStack = R.chance(1, 10) ? R.below(40) / 3.0 : R.below(40) / 2.0;
     Run.PathHash = R.below(12);
     Run.NumParentsBase = static_cast<uint32_t>(R.below(6));
-    for (CandidateStore *S : Stores)
-      Run.Ids.push_back(S->makeRun(Branches, VBr.epoch(), Run.AvgStack,
+    for (const std::unique_ptr<CandidateStore> &S : Stores)
+      Run.Ids.push_back(S->makeRun(Run.Branches, VBr.epoch(), Run.AvgStack,
                                    Run.PathHash, Run.NumParentsBase));
-    Runs.push_back(Run);
+    Runs.push_back(std::move(Run));
     AfterOp();
   }
 
@@ -313,70 +397,119 @@ struct StoreScript {
     AfterOp();
   }
 
-  void push(Rng &R) {
+  void push(Rng &R, bool Requeue) {
     const OpenRun &Run = Runs[R.below(Runs.size())];
     std::string Input(1 + R.below(24), 'a');
     for (char &C : Input)
       C = R.nextPrintable();
-    uint32_t ReplacementLen = static_cast<uint32_t>(1 + R.below(4));
-    uint32_t ParentDelta = static_cast<uint32_t>(R.below(2));
-    CandidateFeatures F;
-    F.NewBranches = Run.BranchCount; // unfiltered, as campaigns push
-    F.InputLen = static_cast<uint32_t>(Input.size());
-    F.ReplacementLen = ReplacementLen;
-    F.AvgStackSize = Run.AvgStack;
-    F.NumParents = Run.NumParentsBase + ParentDelta;
-    const uint32_t *Count = PathCounts.find(Run.PathHash);
-    F.PathCount = Count ? *Count : 0;
-    double Score = heuristicScore(F, Heur) - static_cast<double>(R.below(4));
-    uint64_t Hash = R.next();
-    for (size_t I = 0; I != Stores.size(); ++I)
-      Stores[I]->push(Run.Ids[I], CandidateStore::None, Input, 0, Input, Hash,
-                      ReplacementLen, ParentDelta, Score);
+    Queued Q;
+    Q.Hash = R.next();
+    Q.Branches = Run.Branches;
+    Q.PathHash = Run.PathHash;
+    Q.Seq = NextSeq++;
+    // As campaigns push: the run's capture-time count and the live path
+    // count (an upper bound of every later tick-state score); requeues
+    // subtract a penalty and carry replacement length 1, no parent step.
+    Q.F.NewBranches = static_cast<uint32_t>(Run.Branches.size());
+    Q.F.InputLen = static_cast<uint32_t>(Input.size());
+    Q.F.ReplacementLen = Requeue ? 1 : static_cast<uint32_t>(1 + R.below(4));
+    Q.F.AvgStackSize = Run.AvgStack;
+    uint32_t ParentDelta = Requeue ? 0 : static_cast<uint32_t>(R.below(2));
+    Q.F.NumParents = Run.NumParentsBase + ParentDelta;
+    Q.F.PathCount = livePathCount(Run.PathHash);
+    Q.PushScore = heuristicScore(Q.F, Heur);
+    if (Requeue)
+      Q.PushScore -= static_cast<double>(1 + R.below(12));
+    for (size_t I = 0; I != Stores.size(); ++I) {
+      CandidateStore &S = *Stores[I];
+      if (Requeue) {
+        // A requeue re-enters its parent record itself.
+        uint32_t Parent = S.internRoot(Input, Q.Hash);
+        S.pushRequeue(Run.Ids[I], Parent, Input, Q.Hash, Q.PushScore);
+        S.release(Parent);
+      } else {
+        S.push(Run.Ids[I], CandidateStore::None, Input, 0, Input, Q.Hash,
+               Q.F.ReplacementLen, ParentDelta, Q.PushScore);
+      }
+    }
+    Model.push_back(std::move(Q));
     AfterOp();
     if (Stores[0]->queueSize() > MaxQueue)
-      rescore();
+      fullPass();
   }
 
   void pop() {
     if (Stores[0]->empty())
       return;
-    std::string First;
-    CandidateStore::Popped P0 = Stores[0]->pop(First);
-    Stores[0]->release(P0.Id);
-    for (size_t I = 1; I != Stores.size(); ++I) {
+    ++Pops;
+    size_t Top = bruteForceTop();
+    double Key = eagerKey(Model[Top]);
+    for (const std::unique_ptr<CandidateStore> &S : Stores) {
       std::string Out;
-      CandidateStore::Popped P = Stores[I]->pop(Out);
-      Stores[I]->release(P.Id);
-      EXPECT_EQ(Out, First);
-      EXPECT_EQ(P.Score, P0.Score);
-      EXPECT_EQ(P.InputHash, P0.InputHash);
-      EXPECT_EQ(P.NumParents, P0.NumParents);
+      CandidateStore::Popped P = S->pop(Out);
+      S->release(P.Id);
+      EXPECT_EQ(P.InputHash, Model[Top].Hash);
+      EXPECT_EQ(P.Score, Key);
+      EXPECT_EQ(Out.size(), Model[Top].F.InputLen);
     }
+    Model.erase(Model.begin() + static_cast<std::ptrdiff_t>(Top));
+    AfterOp();
+  }
+
+  void tick() {
+    foldPaths();
+    for (const std::unique_ptr<CandidateStore> &S : Stores)
+      S->tick();
+    for (Queued &Q : Model)
+      Q.Fresh = false;
     AfterOp();
   }
 
   void decayPaths() {
+    foldPaths();
     PathCounts.filter(
         [](uint64_t, uint32_t &Count) { return (Count /= 2) != 0; });
+    fullPass();
   }
 
-  void rescore() {
-    for (CandidateStore *S : Stores)
-      S->rescore(VBr, PathCounts, Heur);
+  void renumber() {
+    for (const std::unique_ptr<CandidateStore> &S : Stores)
+      S->renumberSequences();
     AfterOp();
-    OnRescore();
+  }
+
+  void fullPass() {
+    foldPaths();
+    for (const std::unique_ptr<CandidateStore> &S : Stores)
+      S->rescore();
+    for (Queued &Q : Model)
+      Q.Fresh = false;
+    if (Model.size() > MaxQueue) {
+      // The eager trim keeps the MaxQueue / 2 first candidates.
+      std::vector<std::pair<double, uint64_t>> Keys;
+      for (const Queued &Q : Model)
+        Keys.emplace_back(eagerKey(Q), Q.Seq);
+      std::sort(Keys.begin(), Keys.end(), std::greater<>());
+      std::pair<double, uint64_t> Last = Keys[MaxQueue / 2 - 1];
+      std::erase_if(Model, [&](const Queued &Q) {
+        return std::make_pair(eagerKey(Q), Q.Seq) < Last;
+      });
+    }
+    for (const std::unique_ptr<CandidateStore> &S : Stores)
+      EXPECT_EQ(S->queueSize(), Model.size());
+    AfterOp();
   }
 };
 
 } // namespace
 
-TEST(PFuzzerQueueStoreTest, DeltaRescoreMatchesReferenceAtEveryHeapPosition) {
+TEST(PFuzzerQueueStoreTest, LazyPopSequenceMatchesEagerQueue) {
   // The store-level exactness check behind the campaign sweep: the same
-  // operation sequence on a compact store (delta rescoring) and a
-  // reference store (full recompute of every candidate) must leave the
-  // same score at every heap position after every rescore — which, with
-  // the same positional heap calls, is the same pop order.
+  // random operation script on a lazily settled compact store and on the
+  // eager reference store (which re-scores everything at every tick)
+  // must pop the same candidate at the same score every time, under
+  // each heuristic switch — and so must the brute-force model the
+  // script keeps beside them.
   const HeuristicOptions Terms[] = {
       HeuristicOptions(),
       without(&HeuristicOptions::LengthPenalty),
@@ -388,24 +521,33 @@ TEST(PFuzzerQueueStoreTest, DeltaRescoreMatchesReferenceAtEveryHeapPosition) {
   for (size_t T = 0; T != std::size(Terms); ++T) {
     SCOPED_TRACE("heuristic config " + std::to_string(T));
     StoreScript Script;
-    CandidateStore Compact(/*Reference=*/false, Script.MaxQueue);
-    CandidateStore Reference(/*Reference=*/true, Script.MaxQueue);
-    Script.Stores = {&Compact, &Reference};
     Script.Heur = Terms[T];
-    size_t Compared = 0;
-    Script.OnRescore = [&] {
-      ASSERT_EQ(Compact.queueSize(), Reference.queueSize());
-      for (size_t Pos = 0; Pos != Compact.queueSize(); ++Pos) {
-        ASSERT_EQ(Compact.scoreAt(Pos), Reference.scoreAt(Pos))
-            << "heap position " << Pos;
-        ASSERT_EQ(Compact.hashAt(Pos), Reference.hashAt(Pos))
-            << "heap position " << Pos;
-      }
-      Compared += Compact.queueSize();
-    };
-    Script.run(/*Seed=*/100 + T, /*Steps=*/4000);
-    EXPECT_GT(Compact.Stats.Trims, 0u);
-    EXPECT_GT(Compared, 1000u);
+    CandidateStore &Lazy = Script.addStore(/*Reference=*/false);
+    CandidateStore &Eager = Script.addStore(/*Reference=*/true);
+    Script.run(/*Seed=*/100 + T, /*Steps=*/6000);
+    EXPECT_GT(Lazy.Stats.Trims, 0u);
+    EXPECT_EQ(Lazy.Stats.Trims, Eager.Stats.Trims);
+    EXPECT_GT(Lazy.Stats.Ticks, 100u);
+    EXPECT_GT(Lazy.Stats.Resettles, 100u);
+    EXPECT_EQ(Eager.Stats.Resettles, 0u);
+    EXPECT_GT(Script.Pops, 500u);
+  }
+}
+
+TEST(PFuzzerQueueStoreTest, EveryPopIsTheTickStateMaximum) {
+  // On a queue small enough to search exhaustively, each pop of the lazy
+  // store must be the candidate with the largest (score, sequence) under
+  // the tick-state scores, checked against the script's brute-force
+  // model before every pop.
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    StoreScript Script;
+    Script.MaxQueue = 12;
+    CandidateStore &Lazy = Script.addStore(/*Reference=*/false);
+    Script.run(Seed, /*Steps=*/3000);
+    EXPECT_GT(Lazy.Stats.Trims, 0u);
+    EXPECT_GT(Lazy.Stats.Resettles, 0u);
+    EXPECT_GT(Script.Pops, 300u);
   }
 }
 
@@ -414,8 +556,7 @@ TEST(PFuzzerQueueStoreTest, RunningByteTotalMatchesFullWalk) {
   // every operation it must equal a walk over every group slot, and the
   // sampled peak must be the walk's maximum.
   StoreScript Script;
-  CandidateStore Store(/*Reference=*/false, Script.MaxQueue);
-  Script.Stores = {&Store};
+  CandidateStore &Store = Script.addStore(/*Reference=*/false);
   size_t PeakWalk = 0;
   Script.AfterOp = [&] {
     size_t Walk = Store.recountBytesInUse();
